@@ -1,7 +1,7 @@
 // Byte-identity goldens for the replay path (labelled `concurrency` +
 // `faults`): fig5-style validation sweeps across all three store
-// architectures plus a faulted degraded campaign, serialized with exact
-// (hexfloat) formatting and pinned to fixture files generated before the
+// architectures plus a faulted degraded campaign per store and a
+// retry-acceptance campaign, serialized with exact (hexfloat) formatting and pinned to fixture files generated before the
 // flat-table refactor of the hot path. Any change to simulated results —
 // an RNG stream, an eviction order, an accounting rule — shows up here as
 // a fixture mismatch, at every thread count in {1, 2, 8}.
@@ -107,12 +107,15 @@ std::string sweep_snapshot(const workload::Trace& trace,
 
 /// Degraded campaign: a poison plan that quarantines every all-SlowMem
 /// cell while all-FastMem cells stay clean — measurements and the failure
-/// ledger both go into the golden.
+/// ledger both go into the golden. The ledger carries the fault counters of
+/// each quarantined cell's final (retry) attempt, so the retry replay is
+/// pinned to bytes per store too.
 std::string degraded_snapshot(const workload::Trace& trace,
-                              std::size_t threads) {
+                              std::size_t threads, kvstore::StoreKind store) {
   faultinject::FaultPlan plan;
   plan.poison_rate = 0.2;
   SensitivityConfig cfg;
+  cfg.store = store;
   cfg.repeats = 2;
   cfg.faults = plan;
   const SensitivityEngine engine(cfg);
@@ -145,6 +148,51 @@ std::string degraded_snapshot(const workload::Trace& trace,
         << f.faults.transient_retries << "," << f.faults.transient_failures
         << "," << f.faults.poison_hits << "," << f.faults.degraded_accesses
         << "\n";
+  }
+  return out.str();
+}
+
+/// Retry campaign: a transient-fault rate at which an all-SlowMem cell
+/// absorbs zero events on some attempts and not on others, so the grid
+/// mixes first-try accepts, retry accepts and quarantines on every store.
+/// Which cells survive, and the ledger's retry fault counters, pin the
+/// attempt-1 replay to bytes.
+std::string retry_snapshot(const workload::Trace& trace,
+                           std::size_t threads) {
+  std::ostringstream out;
+  for (const kvstore::StoreKind store :
+       {kvstore::StoreKind::kVermilion, kvstore::StoreKind::kCachet,
+        kvstore::StoreKind::kDynaStore}) {
+    SensitivityConfig cfg;
+    cfg.store = store;
+    cfg.repeats = 1;
+    cfg.faults.transient_read_rate = 1e-3;
+    const SensitivityEngine engine(cfg);
+    const hybridmem::Placement all_slow(trace.key_count(),
+                                        hybridmem::NodeId::kSlow);
+    std::vector<CampaignCell> cells;
+    for (int r = 0; r < 8; ++r) cells.push_back({all_slow, r});
+
+    CampaignRunner runner(threads);
+    const CampaignResult result = runner.run_checked(engine, trace, cells);
+    for (std::size_t i = 0; i < result.measurements.size(); ++i) {
+      out << kvstore::to_string(store) << " cell " << i << " ";
+      if (result.measurements[i].has_value()) {
+        serialize(out, *result.measurements[i]);
+      } else {
+        out << "quarantined";
+      }
+      out << "\n";
+    }
+    for (const CellFailure& f : result.failures) {
+      out << kvstore::to_string(store) << " failure cell=" << f.cell
+          << " attempts=" << f.attempts
+          << " code=" << static_cast<int>(f.error.code)
+          << " faults=" << f.faults.transient_faults << ","
+          << f.faults.transient_retries << ","
+          << f.faults.transient_failures << "," << f.faults.poison_hits
+          << "," << f.faults.degraded_accesses << "\n";
+    }
   }
   return out.str();
 }
@@ -197,7 +245,28 @@ TEST(GoldenReplay, SweepByteIdenticalAcrossThreadCountsAndRefactors) {
 TEST(GoldenReplay, DegradedCampaignByteIdenticalWithLedger) {
   const workload::Trace trace = golden_trace();
   check_golden("golden_degraded.txt", [&](std::size_t threads) {
-    return degraded_snapshot(trace, threads);
+    return degraded_snapshot(trace, threads, kvstore::StoreKind::kVermilion);
+  });
+}
+
+TEST(GoldenReplay, DegradedCachetCampaignByteIdenticalWithLedger) {
+  const workload::Trace trace = golden_trace();
+  check_golden("golden_degraded_cachet.txt", [&](std::size_t threads) {
+    return degraded_snapshot(trace, threads, kvstore::StoreKind::kCachet);
+  });
+}
+
+TEST(GoldenReplay, RetryCampaignByteIdenticalAcrossStores) {
+  const workload::Trace trace = golden_trace();
+  check_golden("golden_retry.txt", [&](std::size_t threads) {
+    return retry_snapshot(trace, threads);
+  });
+}
+
+TEST(GoldenReplay, DegradedDynaStoreCampaignByteIdenticalWithLedger) {
+  const workload::Trace trace = golden_trace();
+  check_golden("golden_degraded_dynastore.txt", [&](std::size_t threads) {
+    return degraded_snapshot(trace, threads, kvstore::StoreKind::kDynaStore);
   });
 }
 
