@@ -1,14 +1,13 @@
-// Wall-clock campaign microbenchmark for the replay executors (DESIGN.md
-// §12, §14): times the same measure_grid — the engine behind every sweep,
-// baseline and session — under ReplayMode::kLegacy (per-cell
-// rehash/redigest on the heap), ReplayMode::kCompiled (shared
-// CompiledTrace + hash/digest passthrough + per-worker arena, the PR 8
-// per-cell baseline) and ReplayMode::kFused (the default: lane-fused
-// bands replaying K cells per trace pass with util::simd batch kernels).
-// All arms return measurements that are asserted bit-identical here —
-// the bench refuses to report on any divergence — so every speedup is
-// provably a pure implementation win. Results go to BENCH_campaign.json
-// ("mnemo.bench.campaign/v2") for bench_diff.
+// Wall-clock campaign microbenchmark for the campaign executor (DESIGN.md
+// §12, §14): times measure_grid — the engine behind every sweep, baseline
+// and session — which replays lane-fused bands of K cells per pass over
+// the shared CompiledTrace with util::simd batch kernels. Every timed grid
+// is checked bit for bit against a serial reference grid computed from
+// the per-cell replay of the raw Trace (SensitivityEngine::run_once,
+// averaged per placement) — the bench refuses to report on any
+// divergence. Results go to BENCH_campaign.json
+// ("mnemo.bench.campaign/v3") for bench_diff, which compares them against
+// the checked-in baseline.
 //
 //   ./micro_campaign                full run, writes BENCH_campaign.json
 //   ./micro_campaign --smoke        tiny workload + schema self-check (CI)
@@ -37,22 +36,8 @@ struct CellResult {
   kvstore::StoreKind store = kvstore::StoreKind::kVermilion;
   std::size_t threads = 0;
   std::size_t grid_cells = 0;  ///< placements × repeats replayed per timing
-  double legacy_median_s = 0.0;
-  double legacy_min_s = 0.0;
-  double compiled_median_s = 0.0;
-  double compiled_min_s = 0.0;
   double fused_median_s = 0.0;
   double fused_min_s = 0.0;
-
-  [[nodiscard]] double speedup() const {
-    return compiled_median_s > 0.0 ? legacy_median_s / compiled_median_s
-                                   : 0.0;
-  }
-  /// Paired-median win of the fused executor over the per-cell compiled
-  /// baseline it replaced — the headline this PR's acceptance gates on.
-  [[nodiscard]] double fused_speedup() const {
-    return fused_median_s > 0.0 ? compiled_median_s / fused_median_s : 0.0;
-  }
 };
 
 double median(std::vector<double> v) {
@@ -87,53 +72,54 @@ std::vector<hybridmem::Placement> make_placements(
   return placements;
 }
 
-CellResult run_cell(const workload::Trace& trace,
-                    const std::vector<hybridmem::Placement>& placements,
-                    kvstore::StoreKind store, std::size_t threads,
-                    int repeats) {
+core::SensitivityConfig bench_config(kvstore::StoreKind store,
+                                     std::size_t threads) {
   core::SensitivityConfig cfg;
   cfg.store = store;
   cfg.repeats = 2;
   cfg.threads = threads;
-  const core::SensitivityEngine engine(cfg);
+  return cfg;
+}
 
-  std::vector<double> legacy_s;
-  std::vector<double> compiled_s;
+/// The serial reference grid: each placement's repeats replayed one by one
+/// from the raw Trace and averaged in repeat order — no campaign runner,
+/// no lane band, no compiled trace.
+std::vector<core::RunMeasurement> reference_grid(
+    const workload::Trace& trace,
+    const std::vector<hybridmem::Placement>& placements,
+    kvstore::StoreKind store) {
+  const core::SensitivityEngine engine(bench_config(store, 1));
+  std::vector<core::RunMeasurement> grid;
+  for (const hybridmem::Placement& placement : placements) {
+    std::vector<core::RunMeasurement> runs;
+    for (int r = 0; r < engine.config().repeats; ++r) {
+      runs.push_back(engine.run_once(trace, placement, r));
+    }
+    grid.push_back(core::average_runs(runs));
+  }
+  return grid;
+}
+
+CellResult run_cell(const workload::Trace& trace,
+                    const std::vector<hybridmem::Placement>& placements,
+                    const std::vector<core::RunMeasurement>& reference,
+                    kvstore::StoreKind store, std::size_t threads,
+                    int repeats) {
+  const core::SensitivityEngine engine(bench_config(store, threads));
   std::vector<double> fused_s;
-  std::vector<core::RunMeasurement> legacy_grid;
-  std::vector<core::RunMeasurement> compiled_grid;
-  std::vector<core::RunMeasurement> fused_grid;
   for (int r = 0; r < repeats; ++r) {
-    {
-      core::CampaignRunner runner(threads);
-      runner.set_replay_mode(core::ReplayMode::kLegacy);
-      util::WallTimer timer;
-      legacy_grid = runner.measure_grid(engine, trace, placements);
-      legacy_s.push_back(timer.elapsed_s());
-    }
-    {
-      core::CampaignRunner runner(threads);
-      runner.set_replay_mode(core::ReplayMode::kCompiled);
-      util::WallTimer timer;
-      compiled_grid = runner.measure_grid(engine, trace, placements);
-      compiled_s.push_back(timer.elapsed_s());
-    }
-    {
-      core::CampaignRunner runner(threads);  // default: ReplayMode::kFused
-      util::WallTimer timer;
-      fused_grid = runner.measure_grid(engine, trace, placements);
-      fused_s.push_back(timer.elapsed_s());
-    }
-    // The arms must agree bit for bit or the comparison is meaningless —
-    // refuse to report anything on divergence.
-    if (legacy_grid != compiled_grid) {
+    core::CampaignRunner runner(threads);
+    util::WallTimer timer;
+    const std::vector<core::RunMeasurement> grid =
+        runner.measure_grid(engine, trace, placements);
+    fused_s.push_back(timer.elapsed_s());
+    // A timing of a wrong grid is meaningless — refuse to report anything
+    // on divergence.
+    if (grid != reference) {
       std::fprintf(stderr,
-                   "micro_campaign: compiled grid diverged from legacy\n");
-      std::exit(1);
-    }
-    if (fused_grid != compiled_grid) {
-      std::fprintf(stderr,
-                   "micro_campaign: fused grid diverged from compiled\n");
+                   "micro_campaign: fused grid diverged from the serial "
+                   "reference (%s, threads %zu)\n",
+                   std::string(kvstore::to_string(store)).c_str(), threads);
       std::exit(1);
     }
   }
@@ -142,12 +128,7 @@ CellResult run_cell(const workload::Trace& trace,
   cell.store = store;
   cell.threads = threads;
   cell.grid_cells =
-      placements.size() * static_cast<std::size_t>(cfg.repeats);
-  cell.legacy_median_s = median(legacy_s);
-  cell.legacy_min_s = *std::min_element(legacy_s.begin(), legacy_s.end());
-  cell.compiled_median_s = median(compiled_s);
-  cell.compiled_min_s =
-      *std::min_element(compiled_s.begin(), compiled_s.end());
+      placements.size() * static_cast<std::size_t>(engine.config().repeats);
   cell.fused_median_s = median(fused_s);
   cell.fused_min_s = *std::min_element(fused_s.begin(), fused_s.end());
   return cell;
@@ -156,18 +137,8 @@ CellResult run_cell(const workload::Trace& trace,
 void write_json(const std::string& path, const workload::Trace& trace,
                 bool smoke, int repeats,
                 const std::vector<CellResult>& cells) {
-  double legacy_total = 0.0;
-  double compiled_total = 0.0;
   double fused_total = 0.0;
-  for (const CellResult& c : cells) {
-    legacy_total += c.legacy_median_s;
-    compiled_total += c.compiled_median_s;
-    fused_total += c.fused_median_s;
-  }
-  const double aggregate =
-      compiled_total > 0.0 ? legacy_total / compiled_total : 0.0;
-  const double fused_aggregate =
-      fused_total > 0.0 ? compiled_total / fused_total : 0.0;
+  for (const CellResult& c : cells) fused_total += c.fused_median_s;
 
   std::ostringstream out;
   char buf[64];
@@ -176,7 +147,7 @@ void write_json(const std::string& path, const workload::Trace& trace,
     return std::string(buf);
   };
   out << "{\n";
-  out << "  \"schema\": \"mnemo.bench.campaign/v2\",\n";
+  out << "  \"schema\": \"mnemo.bench.campaign/v3\",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"repeats\": " << repeats << ",\n";
   out << "  \"workload\": {\"name\": \"" << trace.name()
@@ -188,22 +159,12 @@ void write_json(const std::string& path, const workload::Trace& trace,
     out << "    {\"store\": \"" << kvstore::to_string(c.store)
         << "\", \"threads\": " << c.threads
         << ", \"grid_cells\": " << c.grid_cells << ",\n";
-    out << "     \"legacy\": {\"median_s\": " << num(c.legacy_median_s)
-        << ", \"min_s\": " << num(c.legacy_min_s) << "},\n";
-    out << "     \"compiled\": {\"median_s\": " << num(c.compiled_median_s)
-        << ", \"min_s\": " << num(c.compiled_min_s) << "},\n";
     out << "     \"fused\": {\"median_s\": " << num(c.fused_median_s)
-        << ", \"min_s\": " << num(c.fused_min_s) << "},\n";
-    out << "     \"speedup\": " << num(c.speedup())
-        << ", \"fused_speedup\": " << num(c.fused_speedup()) << "}"
+        << ", \"min_s\": " << num(c.fused_min_s) << "}}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"aggregate\": {\"legacy_s\": " << num(legacy_total)
-      << ", \"compiled_s\": " << num(compiled_total)
-      << ", \"fused_s\": " << num(fused_total)
-      << ", \"speedup\": " << num(aggregate)
-      << ", \"fused_speedup\": " << num(fused_aggregate) << "}\n";
+  out << "  \"aggregate\": {\"fused_s\": " << num(fused_total) << "}\n";
   out << "}\n";
 
   std::ofstream file(path);
@@ -223,10 +184,9 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
   const std::string text = ss.str();
   if (text.empty()) return false;
   for (const char* key :
-       {"\"schema\": \"mnemo.bench.campaign/v2\"", "\"repeats\"",
-        "\"workload\"", "\"results\"", "\"legacy\"", "\"compiled\"",
-        "\"fused\"", "\"median_s\"", "\"speedup\"",
-        "\"fused_speedup\"", "\"aggregate\""}) {
+       {"\"schema\": \"mnemo.bench.campaign/v3\"", "\"repeats\"",
+        "\"workload\"", "\"results\"", "\"fused\"", "\"median_s\"",
+        "\"min_s\"", "\"aggregate\"", "\"fused_s\""}) {
     if (text.find(key) == std::string::npos) {
       std::fprintf(stderr, "micro_campaign: missing key %s\n", key);
       return false;
@@ -252,7 +212,7 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
 int main(int argc, char** argv) {
   util::ArgParser parser(
       "micro_campaign",
-      "legacy vs compiled vs lane-fused campaign wall-clock benchmark");
+      "lane-fused campaign wall-clock benchmark");
   parser.add_flag("smoke", "tiny workload + schema self-check (CI)");
   parser.add_option("out", "output JSON path", "BENCH_campaign.json");
   parser.add_option("repeats", "timing repeats per cell", "");
@@ -284,15 +244,14 @@ int main(int argc, char** argv) {
 
   std::vector<CellResult> cells;
   for (const kvstore::StoreKind store : stores) {
+    const std::vector<core::RunMeasurement> reference =
+        reference_grid(trace, placements, store);
     for (const std::size_t threads : thread_counts) {
       const CellResult cell =
-          run_cell(trace, placements, store, threads, repeats);
-      std::printf(
-          "%-10s threads %zu  legacy %8.1f ms  compiled %8.1f ms  "
-          "fused %8.1f ms  speedup %.2fx  fused %.2fx\n",
-          std::string(kvstore::to_string(store)).c_str(), threads,
-          cell.legacy_median_s * 1e3, cell.compiled_median_s * 1e3,
-          cell.fused_median_s * 1e3, cell.speedup(), cell.fused_speedup());
+          run_cell(trace, placements, reference, store, threads, repeats);
+      std::printf("%-10s threads %zu  fused %8.1f ms (min %8.1f ms)\n",
+                  std::string(kvstore::to_string(store)).c_str(), threads,
+                  cell.fused_median_s * 1e3, cell.fused_min_s * 1e3);
       cells.push_back(cell);
     }
   }

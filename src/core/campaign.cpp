@@ -13,7 +13,6 @@
 #include "stats/summary.hpp"
 #include "util/arena.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "workload/compiled_trace.hpp"
 
@@ -52,11 +51,11 @@ void record_campaign(const CampaignStats& stats,
       std::max(reg.arena_peak_bytes, stats.arena_peak_bytes);
 }
 
-/// Worker-local arena pool for fused bands: lane j of every band this
-/// worker runs reuses arenas[j] under the same grow-once/reset-per-cell
-/// cycle as the per-cell thread_local arena, so after a worker's first
-/// band warmed its lanes up, later bands allocate without touching
-/// malloc. Arenas are not movable, hence the unique_ptr indirection.
+/// Worker-local arena pool: lane j of every band this worker runs reuses
+/// arenas[j], rewound before each attempt but keeping its grown chunks, so
+/// after a worker's first band warmed its lanes up, later bands allocate
+/// without touching malloc. Arenas are not movable, hence the unique_ptr
+/// indirection.
 util::Arena& worker_arena(std::size_t lane) {
   thread_local std::vector<std::unique_ptr<util::Arena>> arenas;
   while (arenas.size() <= lane) {
@@ -73,166 +72,39 @@ void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
   }
 }
 
-/// The checked per-cell attempt loop shared by run_checked and the async
-/// grid: accept only runs that are provably unperturbed (success AND zero
-/// fault events), retry exactly once under an attempt-shifted fault
-/// stream, then quarantine. Writes exactly one of `slot` / `failure`.
-void execute_checked_cell(const SensitivityEngine& engine,
-                          const workload::Trace& trace,
-                          const workload::CompiledTrace* compiled,
-                          const CampaignCell& cell, std::size_t index,
-                          std::optional<RunMeasurement>& slot,
-                          std::optional<CellFailure>& failure,
-                          std::size_t& arena_bytes) {
-  util::Error last_error;
-  faultinject::FaultStats last_stats;
-  int attempts = 0;
-  bool accepted = false;
-  arena_bytes = 0;
-  for (int attempt = 0; attempt < 2 && !accepted; ++attempt) {
-    util::Result<RunMeasurement> run = [&] {
-      if (compiled != nullptr) {
-        util::Arena& arena = worker_arena(0);
-        // An attempt's state is fully torn down before the next starts,
-        // so the rewind is safe between attempts too.
-        arena.reset();
-        util::Result<RunMeasurement> r = engine.try_run_once(
-            *compiled, cell.placement, cell.repeat, attempt, &arena);
-        // Deallocation is a no-op, so bytes_allocated() still reports the
-        // attempt's full footprint after its state is gone.
-        arena_bytes = std::max(arena_bytes, arena.bytes_allocated());
-        return r;
-      }
-      return engine.try_run_once(trace, cell.placement, cell.repeat, attempt);
-    }();
-    ++attempts;
-    if (run.ok() && run.value().faults.events() == 0) {
-      slot = run.value();
-      accepted = true;
-    } else if (run.ok()) {
-      last_stats = run.value().faults;
-      last_error.code = util::ErrorCode::kFaultInjected;
-      last_error.message = "measurement perturbed: " +
-                           std::to_string(last_stats.events()) +
-                           " fault events absorbed";
-    } else {
-      last_error = run.error();
-      last_stats = faultinject::FaultStats{};
-    }
-  }
-  if (!accepted) {
-    CellFailure f;
-    f.cell = index;
-    f.fast_keys = cell.placement.fast_keys();
-    f.repeat = cell.repeat;
-    f.attempts = attempts;
-    f.error = last_error;
-    f.faults = last_stats;
-    failure = std::move(f);
-  }
+/// Runs a cell may consume: the first try plus exactly one retry under an
+/// attempt-shifted fault stream (the workload seed never changes).
+constexpr int kMaxAttempts = 2;
+
+/// A run is accepted only when it is provably unperturbed — it succeeded
+/// AND absorbed zero fault events — the condition under which it is
+/// bit-identical to the fault-free platform's run.
+[[nodiscard]] bool accepted(const util::Result<RunMeasurement>& run) {
+  return run.ok() && run.value().faults.events() == 0;
 }
 
-/// Checked counterpart of one fused band: attempt 0 replays every lane of
-/// cells [first, first + count) in a single LaneBand pass; a lane that
-/// comes back provably unperturbed (success AND zero fault events) is
-/// accepted, and every other lane *sheds to per-cell* — an attempt-1 retry
-/// through engine.try_run_once on the lane's own arena, exactly the retry
-/// execute_checked_cell would have run. Ledger parity is exact: the same
-/// attempts counts, errors and fault stats as per-cell checked replay,
-/// because each lane's attempt sequence is the same instruction stream,
-/// only attempt 0 is interleaved with its bandmates.
-void execute_checked_band(const SensitivityEngine& engine,
-                          const workload::CompiledTrace& compiled,
-                          const std::vector<CampaignCell>& cells,
-                          std::size_t first, std::size_t count,
-                          std::vector<std::optional<RunMeasurement>>& slots,
-                          std::vector<std::optional<CellFailure>>& failed,
-                          std::size_t& arena_bytes) {
-  std::array<LaneBand::Lane, LaneBand::kMaxLanes> lanes;
-  std::array<std::optional<util::Result<RunMeasurement>>, LaneBand::kMaxLanes>
-      outs;
-  for (std::size_t j = 0; j < count; ++j) {
-    util::Arena& arena = worker_arena(j);
-    arena.reset();
-    lanes[j] = LaneBand::Lane{&cells[first + j].placement,
-                              cells[first + j].repeat, 0, &arena};
+/// Ledger entry for a cell whose final attempt was rejected: that
+/// attempt's typed error, or — for a run that completed but absorbed fault
+/// events — a kFaultInjected "measurement perturbed" error with the
+/// attempt's fault counters.
+[[nodiscard]] CellFailure rejected_cell(
+    const CampaignCell& cell, std::size_t index,
+    const util::Result<RunMeasurement>& last) {
+  CellFailure f;
+  f.cell = index;
+  f.fast_keys = cell.placement.fast_keys();
+  f.repeat = cell.repeat;
+  f.attempts = kMaxAttempts;
+  if (last.ok()) {
+    f.faults = last.value().faults;
+    f.error.code = util::ErrorCode::kFaultInjected;
+    f.error.message = "measurement perturbed: " +
+                      std::to_string(f.faults.events()) +
+                      " fault events absorbed";
+  } else {
+    f.error = last.error();
   }
-  LaneBand::replay(
-      engine, compiled,
-      std::span<const LaneBand::Lane>(lanes.data(), count),
-      std::span<std::optional<util::Result<RunMeasurement>>>(outs.data(),
-                                                             count));
-  // Record every lane's attempt-0 footprint before any retry resets its
-  // arena (deallocation is a no-op, so the counts are still live).
-  arena_bytes = 0;
-  for (std::size_t j = 0; j < count; ++j) {
-    arena_bytes = std::max(arena_bytes, worker_arena(j).bytes_allocated());
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::size_t i = first + j;
-    const CampaignCell& cell = cells[i];
-    util::Result<RunMeasurement>& first_try = *outs[j];
-    if (first_try.ok() && first_try.value().faults.events() == 0) {
-      slots[i] = first_try.value();
-      continue;
-    }
-    util::Error last_error;
-    faultinject::FaultStats last_stats;
-    if (first_try.ok()) {
-      last_stats = first_try.value().faults;
-      last_error.code = util::ErrorCode::kFaultInjected;
-      last_error.message = "measurement perturbed: " +
-                           std::to_string(last_stats.events()) +
-                           " fault events absorbed";
-    } else {
-      last_error = first_try.error();
-      last_stats = faultinject::FaultStats{};
-    }
-    util::Arena& arena = worker_arena(j);
-    arena.reset();
-    util::Result<RunMeasurement> retry =
-        engine.try_run_once(compiled, cell.placement, cell.repeat, 1, &arena);
-    arena_bytes = std::max(arena_bytes, arena.bytes_allocated());
-    if (retry.ok() && retry.value().faults.events() == 0) {
-      slots[i] = retry.value();
-      continue;
-    }
-    if (retry.ok()) {
-      last_stats = retry.value().faults;
-      last_error.code = util::ErrorCode::kFaultInjected;
-      last_error.message = "measurement perturbed: " +
-                           std::to_string(last_stats.events()) +
-                           " fault events absorbed";
-    } else {
-      last_error = retry.error();
-      last_stats = faultinject::FaultStats{};
-    }
-    CellFailure f;
-    f.cell = i;
-    f.fast_keys = cell.placement.fast_keys();
-    f.repeat = cell.repeat;
-    f.attempts = 2;
-    f.error = last_error;
-    f.faults = last_stats;
-    failed[i] = std::move(f);
-  }
-}
-
-/// Fused band partition: bands of `width` consecutive cells; depends only
-/// on the cell count and the width, never on threads or scheduling.
-[[nodiscard]] std::size_t band_count(std::size_t cells, std::size_t width) {
-  return cells == 0 ? 0 : (cells + width - 1) / width;
-}
-
-/// The repeat-major cell vector behind every measurement grid.
-[[nodiscard]] std::vector<CampaignCell> build_grid_cells(
-    const std::vector<hybridmem::Placement>& placements, int repeats) {
-  std::vector<CampaignCell> cells;
-  cells.reserve(placements.size() * static_cast<std::size_t>(repeats));
-  for (const hybridmem::Placement& placement : placements) {
-    for (int r = 0; r < repeats; ++r) cells.push_back({placement, r});
-  }
-  return cells;
+  return f;
 }
 
 /// Fold a repeat-major checked grid down to one slot per placement,
@@ -268,15 +140,214 @@ void execute_checked_band(const SensitivityEngine& engine,
   return merged;
 }
 
-/// Order statistics + totals fill shared by the sync and async paths.
-void finalize_stats(CampaignStats& accounting,
-                    const std::vector<double>& cell_s) {
-  std::vector<double> sorted = cell_s;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double s : sorted) accounting.cpu_s += s;
-  accounting.cell_p50_s = stats::percentile_sorted(sorted, 0.50);
-  accounting.cell_p95_s = stats::percentile_sorted(sorted, 0.95);
-  record_campaign(accounting, cell_s);
+/// The repeat-major cell vector behind every measurement grid.
+[[nodiscard]] std::vector<CampaignCell> build_grid_cells(
+    const std::vector<hybridmem::Placement>& placements, int repeats) {
+  std::vector<CampaignCell> cells;
+  cells.reserve(placements.size() * static_cast<std::size_t>(repeats));
+  for (const hybridmem::Placement& placement : placements) {
+    for (int r = 0; r < repeats; ++r) cells.push_back({placement, r});
+  }
+  return cells;
+}
+
+/// The healthy-platform view of a checked result: every cell (or merged
+/// placement) must have been accepted.
+[[nodiscard]] std::vector<RunMeasurement> unwrap_accepted(
+    CampaignResult result) {
+  MNEMO_ASSERT(!result.partial() &&
+               "run/measure_grid require cells that cannot fail; a faulted "
+               "platform goes through the checked entry points");
+  std::vector<RunMeasurement> out;
+  out.reserve(result.measurements.size());
+  for (std::optional<RunMeasurement>& m : result.measurements) {
+    out.push_back(std::move(*m));
+  }
+  return out;
+}
+
+/// One checked campaign in flight, shared by the blocking fan-out and the
+/// async grid. The cells are partitioned into bands of `width` consecutive
+/// cells — a partition that depends only on the cell count and the width,
+/// never on threads or scheduling — and band b writes only its own cells'
+/// slots, so the result is in cell order and bit-identical at any thread
+/// count.
+class BandCampaign {
+ public:
+  /// Compiles the trace once: the per-key hashes/digests/byte streams are
+  /// placement- and repeat-invariant, so every band shares one read-only
+  /// artifact instead of re-deriving them (DESIGN.md §12).
+  BandCampaign(const SensitivityEngine& engine, const workload::Trace& trace,
+               const std::vector<CampaignCell>& cells, std::size_t width,
+               const util::CancelToken* cancel)
+      : engine_(engine),
+        compiled_(trace),
+        cells_(cells),
+        width_(width),
+        cancel_(cancel),
+        slots_(cells.size()),
+        failed_(cells.size()),
+        cell_s_(cells.size(), 0.0) {}
+
+  [[nodiscard]] std::size_t bands() const {
+    return cells_.empty() ? 0 : (cells_.size() + width_ - 1) / width_;
+  }
+
+  /// The band task. Attempt 0 replays every lane of the band in one
+  /// LaneBand pass; a lane that comes back accepted fills its slot, and
+  /// the rejected lanes replay again together at attempt 1 — LaneBand
+  /// gives each lane exactly the per-cell result, so the ledger (attempts,
+  /// errors, fault counters) does not depend on which cells shared a band.
+  /// A lane rejected on its last attempt is quarantined.
+  void run_band(std::size_t b) {
+    // Cancellation point *between* bands: a canceled campaign skips bands
+    // it has not started, never interrupts one mid-flight.
+    if (cancel_ != nullptr && cancel_->canceled()) return;
+    const std::size_t first = b * width_;
+    const std::size_t count = std::min(width_, cells_.size() - first);
+    faultinject::chaos_band_delay(first, count);
+    // Thread-CPU time, not wall: a band's cost must not include the time
+    // its worker spent descheduled, or an oversubscribed scheduler would
+    // fabricate speedup.
+    util::ThreadCpuTimer band_timer;
+
+    std::array<std::size_t, LaneBand::kMaxLanes> pending;  ///< band lanes
+    std::size_t num_pending = count;
+    for (std::size_t j = 0; j < count; ++j) pending[j] = j;
+    std::array<LaneBand::Lane, LaneBand::kMaxLanes> lanes;
+    std::array<std::optional<util::Result<RunMeasurement>>,
+               LaneBand::kMaxLanes>
+        outs;
+    std::size_t band_arena = 0;
+    for (int attempt = 0; attempt < kMaxAttempts && num_pending > 0;
+         ++attempt) {
+      for (std::size_t p = 0; p < num_pending; ++p) {
+        const CampaignCell& cell = cells_[first + pending[p]];
+        // The lane's previous attempt is fully torn down, so the rewind
+        // is safe between attempts too.
+        util::Arena& arena = worker_arena(pending[p]);
+        arena.reset();
+        lanes[p] = LaneBand::Lane{&cell.placement, cell.repeat, attempt,
+                                  &arena};
+      }
+      LaneBand::replay(
+          engine_, compiled_,
+          std::span<const LaneBand::Lane>(lanes.data(), num_pending),
+          std::span<std::optional<util::Result<RunMeasurement>>>(
+              outs.data(), num_pending));
+      std::size_t rejected = 0;
+      for (std::size_t p = 0; p < num_pending; ++p) {
+        const std::size_t i = first + pending[p];
+        // Deallocation is a no-op, so bytes_allocated() still reports the
+        // attempt's full footprint after its state is gone.
+        band_arena =
+            std::max(band_arena, worker_arena(pending[p]).bytes_allocated());
+        util::Result<RunMeasurement>& run = *outs[p];
+        if (accepted(run)) {
+          slots_[i] = std::move(run.value());
+        } else if (attempt + 1 < kMaxAttempts) {
+          pending[rejected++] = pending[p];
+        } else {
+          failed_[i] = rejected_cell(cells_[i], i, run);
+        }
+      }
+      num_pending = rejected;
+    }
+    raise_peak(arena_peak_, band_arena);
+    // The fused pass is genuinely shared work; attribute it evenly.
+    const double per_cell_s =
+        band_timer.elapsed_s() / static_cast<double>(count);
+    for (std::size_t j = 0; j < count; ++j) cell_s_[first + j] = per_cell_s;
+  }
+
+  /// The campaign tail, after every band settled: accounting into `stats`
+  /// (`workers` caps the fan-out, which never exceeds the band count),
+  /// then the cell-ordered ledger and the process-wide totals. A canceled
+  /// campaign throws util::CanceledError instead, so partial grids can
+  /// never flow into caches or artifacts.
+  [[nodiscard]] CampaignResult finish(std::size_t workers,
+                                      CampaignStats& accounting) {
+    accounting = CampaignStats{};
+    accounting.cells = cells_.size();
+    accounting.lane_width = width_;
+    accounting.threads = std::max<std::size_t>(
+        1, std::min(workers, std::max<std::size_t>(1, bands())));
+    accounting.wall_s = wall_.elapsed_s();
+    accounting.arena_peak_bytes = arena_peak_.load(std::memory_order_relaxed);
+    CampaignResult result;
+    if (cells_.empty()) return result;
+    if (cancel_ != nullptr && cancel_->canceled()) {
+      throw util::CanceledError(cancel_->reason());
+    }
+    result.measurements = std::move(slots_);
+    for (std::optional<CellFailure>& f : failed_) {
+      if (f) result.failures.push_back(std::move(*f));
+    }
+    std::vector<double> sorted = cell_s_;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double s : sorted) accounting.cpu_s += s;
+    accounting.cell_p50_s = stats::percentile_sorted(sorted, 0.50);
+    accounting.cell_p95_s = stats::percentile_sorted(sorted, 0.95);
+    record_campaign(accounting, cell_s_);
+    return result;
+  }
+
+ private:
+  const SensitivityEngine& engine_;
+  const workload::CompiledTrace compiled_;
+  const std::vector<CampaignCell>& cells_;
+  const std::size_t width_;
+  const util::CancelToken* cancel_;
+  std::vector<std::optional<RunMeasurement>> slots_;
+  std::vector<std::optional<CellFailure>> failed_;
+  std::vector<double> cell_s_;
+  std::atomic<std::size_t> arena_peak_{0};
+  util::WallTimer wall_;
+};
+
+/// Shared state of one in-flight async grid. Owned jointly by the band
+/// closures and the merge continuation; the last reference dying frees it.
+struct AsyncGrid {
+  AsyncGrid(std::shared_ptr<const SensitivityEngine> e,
+            const workload::Trace& trace,
+            const std::vector<hybridmem::Placement>& placements,
+            const util::CancelToken* cancel,
+            std::shared_ptr<util::TaskScheduler::Group> g,
+            std::function<void(CampaignRunner::AsyncOutcome)> d)
+      : engine(std::move(e)),
+        repeats(engine->config().repeats),
+        num_placements(placements.size()),
+        cells(build_grid_cells(placements, repeats)),
+        // The async grid always replays with the default lane width.
+        campaign(*engine, trace, cells, LaneBand::kDefaultLanes, cancel),
+        group(std::move(g)),
+        done(std::move(d)),
+        remaining(campaign.bands()) {}
+
+  std::shared_ptr<const SensitivityEngine> engine;
+  int repeats;
+  std::size_t num_placements;
+  std::vector<CampaignCell> cells;
+  BandCampaign campaign;
+  std::shared_ptr<util::TaskScheduler::Group> group;
+  std::function<void(CampaignRunner::AsyncOutcome)> done;
+  std::atomic<std::size_t> remaining;  ///< bands still outstanding
+};
+
+/// The merge continuation: runs once, as a kRequest task, after the last
+/// band settles — the same tail the blocking path runs, with the thrown
+/// error (util::CanceledError for a canceled grid) handed over as-is.
+void merge_async_grid(AsyncGrid& grid) {
+  CampaignRunner::AsyncOutcome outcome;
+  try {
+    outcome.grid = merge_placement_grid(
+        grid.campaign.finish(grid.group->scheduler().threads(),
+                             outcome.stats),
+        grid.num_placements, grid.repeats);
+  } catch (...) {
+    outcome.error = std::current_exception();
+  }
+  grid.done(std::move(outcome));
 }
 
 }  // namespace
@@ -336,20 +407,14 @@ CampaignRunner::CampaignRunner(std::size_t threads,
       scheduler_(scheduler),
       group_(group) {}
 
-void CampaignRunner::throw_if_canceled() const {
-  if (cancel_ != nullptr && cancel_->canceled()) {
-    throw util::CanceledError(cancel_->reason());
-  }
-}
-
 void CampaignRunner::fan_out(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   util::TaskScheduler::GroupOptions opts;
   opts.cancel = cancel_;
   if (scheduler_ != nullptr) {
-    // Shared scheduler: cells interleave with every other campaign's under
-    // its fairness policy; the calling thread helps run cells meanwhile.
+    // Shared scheduler: bands interleave with every other campaign's under
+    // its fairness policy; the calling thread helps run bands meanwhile.
     if (group_ != nullptr) {
       scheduler_->run_batch(*group_, n, fn);
     } else {
@@ -360,7 +425,7 @@ void CampaignRunner::fan_out(std::size_t n,
   }
   const std::size_t workers = std::max<std::size_t>(1, std::min(threads_, n));
   if (workers == 1) {
-    // Serial fast path: no workers at all, cells in cell order — the
+    // Serial fast path: no workers at all, bands in band order — the
     // reference schedule every parallel fan-out must be bit-identical to.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -370,244 +435,34 @@ void CampaignRunner::fan_out(std::size_t n,
   local.run_batch(*group, n, fn);
 }
 
-std::vector<RunMeasurement> CampaignRunner::run(
-    const SensitivityEngine& engine, const workload::Trace& trace,
-    const std::vector<CampaignCell>& cells) {
-  const std::size_t width = mode_ == ReplayMode::kFused ? lane_width_ : 1;
-  const std::size_t bands = band_count(cells.size(), width);
-  stats_ = CampaignStats{};
-  stats_.cells = cells.size();
-  stats_.lane_width = width;
-  // The scheduling unit is the band, so the fan-out never exceeds the
-  // band count (== cell count when replay is per-cell).
-  stats_.threads = std::max<std::size_t>(
-      1, std::min(threads_, std::max<std::size_t>(1, bands)));
-
-  std::vector<RunMeasurement> merged(cells.size());
-  std::vector<double> cell_s(cells.size(), 0.0);
-  if (cells.empty()) return merged;
-
-  // Compile once per campaign: the per-key hashes/digests/byte streams are
-  // placement- and repeat-invariant, so every cell shares one read-only
-  // artifact instead of re-deriving them (DESIGN.md §12).
-  std::optional<workload::CompiledTrace> compiled;
-  if (mode_ != ReplayMode::kLegacy) compiled.emplace(trace);
-
-  std::atomic<std::size_t> arena_peak{0};
-  util::WallTimer wall;
-  if (mode_ == ReplayMode::kFused) {
-    // Shared-nothing band fan-out: band b writes only its members' slots,
-    // so the merge order is the cell order by construction — and the band
-    // partition ignores threads, so grids are bit-identical at any count.
-    fan_out(bands, [&](std::size_t b) {
-      // Cancellation point *between* bands: a canceled campaign skips
-      // bands it has not started, never interrupts one mid-flight.
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      const std::size_t first = b * width;
-      const std::size_t count = std::min(width, cells.size() - first);
-      faultinject::chaos_band_delay(first, count);
-      util::ThreadCpuTimer band_timer;
-      std::array<LaneBand::Lane, LaneBand::kMaxLanes> lanes;
-      std::array<std::optional<util::Result<RunMeasurement>>,
-                 LaneBand::kMaxLanes>
-          outs;
-      for (std::size_t j = 0; j < count; ++j) {
-        util::Arena& arena = worker_arena(j);
-        arena.reset();
-        lanes[j] = LaneBand::Lane{&cells[first + j].placement,
-                                  cells[first + j].repeat, 0, &arena};
-      }
-      LaneBand::replay(
-          engine, *compiled,
-          std::span<const LaneBand::Lane>(lanes.data(), count),
-          std::span<std::optional<util::Result<RunMeasurement>>>(outs.data(),
-                                                                 count));
-      std::size_t band_arena = 0;
-      for (std::size_t j = 0; j < count; ++j) {
-        MNEMO_ASSERT(outs[j].has_value() && outs[j]->ok() &&
-                     "run requires cells that cannot fail");
-        merged[first + j] = outs[j]->value();
-        band_arena = std::max(band_arena, worker_arena(j).bytes_allocated());
-      }
-      raise_peak(arena_peak, band_arena);
-      // The fused pass is genuinely shared work; attribute it evenly so
-      // per-cell accounting stays comparable across replay modes.
-      const double per_cell_s =
-          band_timer.elapsed_s() / static_cast<double>(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        cell_s[first + j] = per_cell_s;
-      }
-    });
-  } else {
-    // Per-cell fan-out: cell i writes only slot i, so the merge order is
-    // the cell order by construction, independent of scheduling.
-    fan_out(cells.size(), [&](std::size_t i) {
-      // Cancellation point *between* cells: a canceled campaign skips
-      // cells it has not started, never interrupts one mid-flight. The
-      // skipped slots are discarded below by the throw.
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      faultinject::chaos_cell_delay(i);
-      // Thread-CPU time, not wall: a cell's cost must not include the
-      // time its worker spent descheduled, or an oversubscribed scheduler
-      // would fabricate speedup.
-      util::ThreadCpuTimer cell_timer;
-      if (compiled) {
-        // Each worker owns one arena for the whole campaign; resetting
-        // rewinds the bump pointer while keeping the grown chunks, so
-        // only a worker's first cell pays allocation at all.
-        util::Arena& arena = worker_arena(0);
-        arena.reset();
-        merged[i] = engine.run_once(*compiled, cells[i].placement,
-                                    cells[i].repeat, &arena);
-        raise_peak(arena_peak, arena.bytes_allocated());
-      } else {
-        merged[i] =
-            engine.run_once(trace, cells[i].placement, cells[i].repeat);
-      }
-      cell_s[i] = cell_timer.elapsed_s();
-    });
-  }
-  stats_.wall_s = wall.elapsed_s();
-  throw_if_canceled();
-
-  stats_.arena_peak_bytes = arena_peak.load(std::memory_order_relaxed);
-  finalize_stats(stats_, cell_s);
-  return merged;
-}
-
 CampaignResult CampaignRunner::run_checked(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  const std::size_t width = mode_ == ReplayMode::kFused ? lane_width_ : 1;
-  const std::size_t bands = band_count(cells.size(), width);
-  stats_ = CampaignStats{};
-  stats_.cells = cells.size();
-  stats_.lane_width = width;
-  stats_.threads = std::max<std::size_t>(
-      1, std::min(threads_, std::max<std::size_t>(1, bands)));
+  BandCampaign campaign(engine, trace, cells, lane_width_, cancel_);
+  fan_out(campaign.bands(), [&](std::size_t b) { campaign.run_band(b); });
+  return campaign.finish(threads_, stats_);
+}
 
-  CampaignResult result;
-  result.measurements.resize(cells.size());
-  // Slot-indexed failures keep the ledger in cell order no matter how the
-  // pool schedules cells — same shared-nothing trick as run().
-  std::vector<std::optional<CellFailure>> failed(cells.size());
-  std::vector<double> cell_s(cells.size(), 0.0);
-  if (cells.empty()) return result;
-
-  std::optional<workload::CompiledTrace> compiled;
-  if (mode_ != ReplayMode::kLegacy) compiled.emplace(trace);
-
-  std::atomic<std::size_t> arena_peak{0};
-  util::WallTimer wall;
-  if (mode_ == ReplayMode::kFused) {
-    fan_out(bands, [&](std::size_t b) {
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      const std::size_t first = b * width;
-      const std::size_t count = std::min(width, cells.size() - first);
-      faultinject::chaos_band_delay(first, count);
-      util::ThreadCpuTimer band_timer;
-      std::size_t band_arena = 0;
-      execute_checked_band(engine, *compiled, cells, first, count,
-                           result.measurements, failed, band_arena);
-      raise_peak(arena_peak, band_arena);
-      const double per_cell_s =
-          band_timer.elapsed_s() / static_cast<double>(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        cell_s[first + j] = per_cell_s;
-      }
-    });
-  } else {
-    fan_out(cells.size(), [&](std::size_t i) {
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      faultinject::chaos_cell_delay(i);
-      util::ThreadCpuTimer cell_timer;
-      std::size_t cell_arena = 0;
-      execute_checked_cell(engine, trace, compiled ? &*compiled : nullptr,
-                           cells[i], i, result.measurements[i], failed[i],
-                           cell_arena);
-      raise_peak(arena_peak, cell_arena);
-      cell_s[i] = cell_timer.elapsed_s();
-    });
-  }
-  stats_.wall_s = wall.elapsed_s();
-  throw_if_canceled();
-
-  for (std::optional<CellFailure>& f : failed) {
-    if (f) result.failures.push_back(std::move(*f));
-  }
-
-  stats_.arena_peak_bytes = arena_peak.load(std::memory_order_relaxed);
-  finalize_stats(stats_, cell_s);
-  return result;
+std::vector<RunMeasurement> CampaignRunner::run(
+    const SensitivityEngine& engine, const workload::Trace& trace,
+    const std::vector<CampaignCell>& cells) {
+  return unwrap_accepted(run_checked(engine, trace, cells));
 }
 
 CampaignResult CampaignRunner::measure_grid_checked(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<hybridmem::Placement>& placements) {
   const int repeats = engine.config().repeats;
-  const std::vector<CampaignCell> cells = build_grid_cells(placements, repeats);
-  return merge_placement_grid(run_checked(engine, trace, cells),
-                              placements.size(), repeats);
+  return merge_placement_grid(
+      run_checked(engine, trace, build_grid_cells(placements, repeats)),
+      placements.size(), repeats);
 }
 
-namespace {
-
-/// Shared state of one in-flight async grid. Owned jointly by the cell
-/// closures and the merge continuation; the last reference dying frees it.
-struct AsyncGrid {
-  std::shared_ptr<const SensitivityEngine> engine;
-  const workload::Trace* trace = nullptr;
-  std::optional<workload::CompiledTrace> compiled;
-  std::vector<CampaignCell> cells;
-  std::size_t num_placements = 0;
-  int repeats = 0;
-  const util::CancelToken* cancel = nullptr;
-  std::shared_ptr<util::TaskScheduler::Group> group;
-  std::function<void(CampaignRunner::AsyncOutcome)> done;
-
-  /// Lanes per fused band; the async grid always replays fused with the
-  /// default width (the band partition never depends on the scheduler).
-  std::size_t lane_width = LaneBand::kDefaultLanes;
-  std::size_t bands = 0;
-
-  util::WallTimer wall;
-  std::vector<std::optional<RunMeasurement>> slots;
-  std::vector<std::optional<CellFailure>> failed;
-  std::vector<double> cell_s;
-  std::atomic<std::size_t> arena_peak{0};
-  std::atomic<std::size_t> remaining{0};  ///< bands still outstanding
-};
-
-/// The merge continuation: runs once, as a kRequest task, after the last
-/// band settles. Mirrors run_checked's tail exactly (including skipping
-/// the totals ledger for canceled campaigns).
-void merge_async_grid(const std::shared_ptr<AsyncGrid>& grid) {
-  CampaignRunner::AsyncOutcome outcome;
-  outcome.stats.cells = grid->cells.size();
-  outcome.stats.lane_width = grid->lane_width;
-  outcome.stats.threads = std::max<std::size_t>(
-      1, std::min(grid->group->scheduler().threads(),
-                  std::max<std::size_t>(1, grid->bands)));
-  outcome.stats.wall_s = grid->wall.elapsed_s();
-  outcome.stats.arena_peak_bytes =
-      grid->arena_peak.load(std::memory_order_relaxed);
-  if (grid->cancel != nullptr && grid->cancel->canceled()) {
-    outcome.error =
-        std::make_exception_ptr(util::CanceledError(grid->cancel->reason()));
-  } else {
-    CampaignResult raw;
-    raw.measurements = std::move(grid->slots);
-    for (std::optional<CellFailure>& f : grid->failed) {
-      if (f) raw.failures.push_back(std::move(*f));
-    }
-    finalize_stats(outcome.stats, grid->cell_s);
-    outcome.grid = merge_placement_grid(std::move(raw), grid->num_placements,
-                                        grid->repeats);
-  }
-  grid->done(std::move(outcome));
+std::vector<RunMeasurement> CampaignRunner::measure_grid(
+    const SensitivityEngine& engine, const workload::Trace& trace,
+    const std::vector<hybridmem::Placement>& placements) {
+  return unwrap_accepted(measure_grid_checked(engine, trace, placements));
 }
-
-}  // namespace
 
 void CampaignRunner::measure_grid_checked_async(
     std::shared_ptr<const SensitivityEngine> engine,
@@ -616,61 +471,28 @@ void CampaignRunner::measure_grid_checked_async(
     const util::CancelToken* cancel,
     std::shared_ptr<util::TaskScheduler::Group> group,
     std::function<void(AsyncOutcome)> done) {
-  auto grid = std::make_shared<AsyncGrid>();
-  grid->repeats = engine->config().repeats;
-  grid->num_placements = placements.size();
-  grid->cells = build_grid_cells(placements, grid->repeats);
-  grid->engine = std::move(engine);
-  grid->trace = &trace;
-  grid->compiled.emplace(trace);
-  grid->cancel = cancel;
-  grid->group = std::move(group);
-  grid->done = std::move(done);
-
-  const std::size_t n = grid->cells.size();
-  if (n == 0) {
+  auto grid = std::make_shared<AsyncGrid>(std::move(engine), trace,
+                                          placements, cancel, std::move(group),
+                                          std::move(done));
+  const std::size_t bands = grid->campaign.bands();
+  if (bands == 0) {
     // Degenerate grid: still deliver asynchronously, as a group task, so
     // callers observe one completion path.
     grid->group->submit(util::TaskScheduler::TaskClass::kRequest,
-                        [grid] { merge_async_grid(grid); });
+                        [grid] { merge_async_grid(*grid); });
     return;
   }
-  grid->slots.resize(n);
-  grid->failed.resize(n);
-  grid->cell_s.assign(n, 0.0);
-  grid->bands = band_count(n, grid->lane_width);
-  grid->remaining.store(grid->bands, std::memory_order_relaxed);
-
-  util::TaskScheduler::Group& g = *grid->group;
-  for (std::size_t b = 0; b < grid->bands; ++b) {
-    // A kCell task is now a lane band (fused attempt 0, per-cell retry
-    // shedding) — same fairness unit across serve, session and campaigns.
-    g.submit(util::TaskScheduler::TaskClass::kCell, [grid, b] {
-      // Same band body as run_checked: cancellation between bands, chaos
-      // delay, thread-CPU timing, checked band with per-cell shedding.
-      if (grid->cancel == nullptr || !grid->cancel->canceled()) {
-        const std::size_t first = b * grid->lane_width;
-        const std::size_t count =
-            std::min(grid->lane_width, grid->cells.size() - first);
-        faultinject::chaos_band_delay(first, count);
-        util::ThreadCpuTimer band_timer;
-        std::size_t band_arena = 0;
-        execute_checked_band(*grid->engine, *grid->compiled, grid->cells,
-                             first, count, grid->slots, grid->failed,
-                             band_arena);
-        raise_peak(grid->arena_peak, band_arena);
-        const double per_cell_s =
-            band_timer.elapsed_s() / static_cast<double>(count);
-        for (std::size_t j = 0; j < count; ++j) {
-          grid->cell_s[first + j] = per_cell_s;
-        }
-      }
+  for (std::size_t b = 0; b < bands; ++b) {
+    // A kCell task is a lane band — the same fairness unit across serve,
+    // session and blocking campaigns.
+    grid->group->submit(util::TaskScheduler::TaskClass::kCell, [grid, b] {
+      grid->campaign.run_band(b);
       // The last band to settle hands off to the merge continuation —
       // submitted from inside a still-outstanding task, so the scheduler
       // never observes a quiescent gap mid-campaign.
       if (grid->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         grid->group->submit(util::TaskScheduler::TaskClass::kRequest,
-                            [grid] { merge_async_grid(grid); });
+                            [grid] { merge_async_grid(*grid); });
       }
     });
   }
@@ -689,27 +511,6 @@ std::string render_failure_ledger(const std::vector<CellFailure>& failures) {
                    events, f.error.to_string()});
   }
   return table.render();
-}
-
-std::vector<RunMeasurement> CampaignRunner::measure_grid(
-    const SensitivityEngine& engine, const workload::Trace& trace,
-    const std::vector<hybridmem::Placement>& placements) {
-  const int repeats = engine.config().repeats;
-  const std::vector<CampaignCell> cells = build_grid_cells(placements, repeats);
-  const std::vector<RunMeasurement> runs = run(engine, trace, cells);
-
-  std::vector<RunMeasurement> merged;
-  merged.reserve(placements.size());
-  std::vector<RunMeasurement> group(static_cast<std::size_t>(repeats));
-  for (std::size_t p = 0; p < placements.size(); ++p) {
-    for (int r = 0; r < repeats; ++r) {
-      group[static_cast<std::size_t>(r)] =
-          runs[p * static_cast<std::size_t>(repeats) +
-               static_cast<std::size_t>(r)];
-    }
-    merged.push_back(average_runs(group));
-  }
-  return merged;
 }
 
 CampaignStats campaign_totals() {

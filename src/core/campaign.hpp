@@ -27,22 +27,6 @@ struct CampaignCell {
   int repeat = 0;
 };
 
-/// How the runner replays each cell (DESIGN.md §12, §14). kFused — the
-/// default — partitions the cell vector into bands of lane_width()
-/// consecutive cells and replays each band with core::LaneBand: one pass
-/// over the shared CompiledTrace advances every lane's independent state
-/// machine, amortizing the op-stream decode and hint loads across lanes.
-/// kCompiled replays the same CompiledTrace one cell at a time (the PR 8
-/// per-cell baseline and the fused path's pairwise oracle). kLegacy
-/// replays the raw Trace per cell on the heap. All three produce
-/// bit-identical measurements — the slower modes exist as equivalence
-/// oracles for tests and as the "before" arms of bench_campaign.
-enum class ReplayMode : std::uint8_t {
-  kFused = 0,
-  kCompiled = 1,
-  kLegacy = 2,
-};
-
 /// Ledger entry for a campaign cell quarantined by the fault-injection
 /// campaign: the cell either errored out (typed error preserved) or its
 /// measurement absorbed fault events — meaning it is *not* bit-identical
@@ -83,13 +67,12 @@ struct CampaignStats {
   double cpu_s = 0.0;       ///< sum of per-cell wall times
   double cell_p50_s = 0.0;  ///< median cell duration
   double cell_p95_s = 0.0;  ///< p95 cell duration
-  /// Lanes per fused band this campaign replayed with (1 = per-cell
-  /// replay, i.e. ReplayMode::kCompiled/kLegacy). Max-merged: the widest
-  /// band any merged campaign used.
+  /// Lanes per band this campaign replayed with (1 = one cell per band).
+  /// Max-merged: the widest band any merged campaign used.
   std::size_t lane_width = 0;
-  /// High-water mark of any single cell arena's bytes_allocated() across
+  /// High-water mark of any single lane arena's bytes_allocated() across
   /// the campaign — the grow-once footprint one lane of replay needs.
-  /// Max-merged; 0 when no arena was used (kLegacy).
+  /// Max-merged; 0 when the campaign had no cells.
   std::size_t arena_peak_bytes = 0;
 
   /// cpu / wall: average number of cells in flight — the wall-clock
@@ -107,28 +90,30 @@ struct CampaignStats {
   [[nodiscard]] std::string render(const std::string& title) const;
 };
 
-/// The campaign runner: takes a set of (placement, repeat) cells and
-/// submits them to a util::TaskScheduler as shared-nothing cell tasks.
-/// Each cell builds its own deployment and seed-shifted RNG inside
-/// SensitivityEngine::run_once, and results are merged in the fixed cell
-/// order — so aggregates are bit-identical to the serial path at any
-/// thread count. Every sweep-shaped feature (baselines, validation
-/// sweeps, sharding) should go through here rather than hand-rolling a
-/// parallel_for over measurements.
+/// The campaign runner: takes a set of (placement, repeat) cells, compiles
+/// the trace once, partitions the cells into bands of lane_width()
+/// consecutive cells and submits each band to a util::TaskScheduler as one
+/// shared-nothing task that core::LaneBand replays in a single pass
+/// (DESIGN.md §14). Each lane builds its own deployment and seed-shifted
+/// RNG, and results are merged in the fixed cell order — so aggregates are
+/// bit-identical to the serial path at any thread count and lane width.
+/// Every sweep-shaped feature (baselines, validation sweeps, sharding)
+/// should go through here rather than hand-rolling a fan-out over
+/// measurements.
 class CampaignRunner {
  public:
   /// `threads` = 0 picks hardware concurrency; the fan-out never exceeds
-  /// the cell count. `cancel` (optional, not owned, must outlive the
+  /// the band count. `cancel` (optional, not owned, must outlive the
   /// runner's calls) makes every run a cooperative cancellation point: the
-  /// token is checked *between* cells — a cell that has started always
+  /// token is checked *between* bands — a band that has started always
   /// finishes, so the cells that did complete are bit-identical to an
   /// uncanceled campaign — and a canceled run throws util::CanceledError
   /// instead of returning, so partial grids can never flow into caches or
   /// artifacts.
   ///
-  /// When `scheduler` is set the runner owns no workers at all: cells run
+  /// When `scheduler` is set the runner owns no workers at all: bands run
   /// as tasks of `group` (or of a transient group when `group` is null) on
-  /// the shared scheduler, interleaved with every other campaign's cells
+  /// the shared scheduler, interleaved with every other campaign's bands
   /// under its fairness policy, while the calling thread cooperatively
   /// helps. Without a scheduler the runner spins up a transient one sized
   /// by `threads` (a plain serial loop when that is 1).
@@ -138,19 +123,21 @@ class CampaignRunner {
                           util::TaskScheduler::Group* group = nullptr);
 
   /// Execute every cell and return one measurement per cell, in cell
-  /// order regardless of scheduling.
+  /// order regardless of scheduling: run_checked with every cell required
+  /// to be accepted (always so on a healthy platform, where the empty
+  /// fault plan accepts every run on its first attempt).
   [[nodiscard]] std::vector<RunMeasurement> run(
       const SensitivityEngine& engine, const workload::Trace& trace,
       const std::vector<CampaignCell>& cells);
 
-  /// Fault-aware variant for engines with a nonempty fault plan. A cell is
+  /// The campaign executor every other entry point wraps. A cell is
   /// accepted only when its run succeeds AND absorbed zero fault events —
   /// the condition under which it is bit-identical to the fault-free
   /// campaign. A rejected cell is retried exactly once with an
   /// attempt-shifted fault stream (the workload seed never changes), then
   /// quarantined into the failure ledger while the remaining cells
-  /// complete. With an empty plan this degenerates to run(): every cell
-  /// accepted on the first attempt. Deterministic at any thread count.
+  /// complete. With an empty plan every cell is accepted on the first
+  /// attempt. Deterministic at any thread count.
   [[nodiscard]] CampaignResult run_checked(
       const SensitivityEngine& engine, const workload::Trace& trace,
       const std::vector<CampaignCell>& cells);
@@ -167,7 +154,8 @@ class CampaignRunner {
   /// The {placement × repeat} grid behind measure()/baselines(): each
   /// placement runs engine.config().repeats times (repeat-major within a
   /// placement) and the repeats are averaged. Returns one merged
-  /// measurement per placement, in placement order.
+  /// measurement per placement, in placement order; every placement must
+  /// be accepted, as in run().
   [[nodiscard]] std::vector<RunMeasurement> measure_grid(
       const SensitivityEngine& engine, const workload::Trace& trace,
       const std::vector<hybridmem::Placement>& placements);
@@ -183,13 +171,13 @@ class CampaignRunner {
   };
 
   /// Continuation-based counterpart of measure_grid_checked for the serve
-  /// scheduler: submits every cell of the {placement × repeat} grid to
+  /// scheduler: submits every band of the {placement × repeat} grid to
   /// `group` and returns immediately — no thread blocks on the campaign.
-  /// After the last cell settles, the merge runs as a kRequest task of
+  /// After the last band settles, the merge runs as a kRequest task of
   /// the same group and invokes `done` exactly once with the outcome
   /// (bit-identical to what measure_grid_checked would have returned).
-  /// `engine` is kept alive by the in-flight cells; `trace` must outlive
-  /// `done`. `cancel` follows the same between-cells contract as the
+  /// `engine` is kept alive by the in-flight bands; `trace` must outlive
+  /// `done`. `cancel` follows the same between-bands contract as the
   /// synchronous path.
   static void measure_grid_checked_async(
       std::shared_ptr<const SensitivityEngine> engine,
@@ -201,30 +189,20 @@ class CampaignRunner {
 
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
-  /// Replay strategy for subsequent run()/measure_grid() calls; results
-  /// are bit-identical either way (see ReplayMode).
-  void set_replay_mode(ReplayMode mode) noexcept { mode_ = mode; }
-  [[nodiscard]] ReplayMode replay_mode() const noexcept { return mode_; }
-
-  /// Lanes per fused band under ReplayMode::kFused, clamped to
-  /// [1, LaneBand::kMaxLanes]; width 1 replays the same schedule one cell
-  /// per band. The band partition depends only on the cell count and this
-  /// width — never on the thread count — so grids stay bit-identical at
-  /// any `threads`, and fixed lane widths stay comparable across runs.
+  /// Lanes per band, clamped to [1, LaneBand::kMaxLanes]; width 1 replays
+  /// one cell per band. The band partition depends only on the cell count
+  /// and this width — never on the thread count — so grids stay
+  /// bit-identical at any `threads`, and fixed lane widths stay comparable
+  /// across runs.
   void set_lane_width(std::size_t width) noexcept {
     lane_width_ = std::clamp<std::size_t>(width, 1, LaneBand::kMaxLanes);
   }
   [[nodiscard]] std::size_t lane_width() const noexcept { return lane_width_; }
 
-  /// Accounting of the most recent run()/measure_grid() on this runner.
+  /// Accounting of the most recent campaign on this runner.
   [[nodiscard]] const CampaignStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Throws util::CanceledError when the token says stop. Called after
-  /// the fan-out returns on the coordinating thread, so the throw never
-  /// crosses the scheduler.
-  void throw_if_canceled() const;
-
   /// Run fn(0..n) to completion: on the injected scheduler group when one
   /// was provided, else on a transient scheduler (serial loop at 1).
   void fan_out(std::size_t n, const std::function<void(std::size_t)>& fn);
@@ -233,7 +211,6 @@ class CampaignRunner {
   const util::CancelToken* cancel_;
   util::TaskScheduler* scheduler_;
   util::TaskScheduler::Group* group_;
-  ReplayMode mode_ = ReplayMode::kFused;
   std::size_t lane_width_ = LaneBand::kDefaultLanes;
   CampaignStats stats_;
 };

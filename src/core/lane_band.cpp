@@ -119,8 +119,8 @@ void LaneBand::replay(
   }
 
   // --- lane setup: followers get only measurement buffers; every other
-  // lane builds its deployment exactly like try_run_once(compiled, ...)
-  // would, on its own arena ----------------------------------------------
+  // lane builds its deployment exactly like try_run_once would, on its
+  // own arena -----------------------------------------------------------
   auto setup_full = [&](std::size_t l) -> bool {
     LaneState& s = lane_state[l];
     const Lane& lane = lanes[l];

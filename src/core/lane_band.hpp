@@ -18,20 +18,22 @@ class CompiledTrace;
 
 namespace mnemo::core {
 
-/// The lane-fused replay executor (DESIGN.md §14): one pass over the
-/// shared CompiledTrace advances K independent per-cell state machines —
+/// The campaign executor (DESIGN.md §14): one pass over the shared
+/// CompiledTrace advances K independent per-cell state machines —
 /// K deployments (HybridMemory + DualServer), K latency streams, K fault
 /// injectors — so the op-stream decode, the key-hash/digest hint loads
 /// and the fault-plan lookups are paid once per op instead of once per
 /// op per cell, and the op/key streams stay cache-resident across lanes.
+/// CampaignRunner replays every campaign cell through here, a quarantine
+/// retry included; a one-lane band is the per-cell schedule.
 ///
-/// Bit-identity with the per-cell path is structural, not statistical:
-/// each lane's state machine executes exactly the instruction sequence
-/// SensitivityEngine::try_run_once would — same construction order, same
-/// seeds, same per-op store calls, same sequential float accumulation
-/// per lane — the lanes are only *interleaved*, and no state is shared
-/// between them. One deliberate exception rides on top: lanes in the
-/// same band that share a placement and differ only in `repeat`
+/// Bit-identity with the per-cell reference replay is structural, not
+/// statistical: each lane's state machine executes exactly the instruction
+/// sequence SensitivityEngine::try_run_once would — same construction
+/// order, same seeds, same per-op store calls, same sequential float
+/// accumulation per lane — the lanes are only *interleaved*, and no state
+/// is shared between them. One deliberate exception rides on top: lanes
+/// in the same band that share a placement and differ only in `repeat`
 /// ("repeat siblings") run identical deterministic state machines, so
 /// the lowest-repeat sibling acts as leader and records the pre-noise
 /// service time of every op; each follower then replays that skeleton
@@ -42,8 +44,9 @@ namespace mnemo::core {
 /// back to ordinary full replay. The batch kernels (util::simd) are exact:
 /// per-lane service accumulation is elementwise (never a reassociated
 /// reduction) and the histogram batch indexes through an exact boundary
-/// table. tests/core/test_lane_fusion.cpp pins fused ≡ per-cell ≡ legacy
-/// across lane widths, thread counts, stores and fault plans.
+/// table. tests/core/test_lane_fusion.cpp pins every lane against the
+/// reference replay across lane widths, thread counts, stores and fault
+/// plans.
 class LaneBand {
  public:
   /// Hard cap on lanes per band: bounds the per-band stack state and the
@@ -54,9 +57,9 @@ class LaneBand {
   static constexpr std::size_t kDefaultLanes = 4;
 
   /// One lane = one campaign cell replaying under this band. `arena` may
-  /// be null (heap allocation, like the compiled path without an arena);
-  /// when set it must be freshly reset and is exclusively this lane's
-  /// for the duration of replay().
+  /// be null (heap allocation); when set it must be freshly reset and is
+  /// exclusively this lane's for the duration of replay(). The arena is an
+  /// allocation strategy, never a behaviour change.
   struct Lane {
     const hybridmem::Placement* placement = nullptr;
     int repeat = 0;
@@ -65,10 +68,11 @@ class LaneBand {
   };
 
   /// Replay every lane in one pass. `out[i]` receives exactly what
-  /// engine.try_run_once(compiled, *lanes[i].placement, lanes[i].repeat,
-  /// lanes[i].attempt, lanes[i].arena) would return — including typed
-  /// errors: a lane that fails (populate capacity, zero-runtime guard)
-  /// carries its error while the surviving lanes complete the pass.
+  /// engine.try_run_once(trace, *lanes[i].placement, lanes[i].repeat,
+  /// lanes[i].attempt) would return for the trace `compiled` was built
+  /// from — including typed errors: a lane that fails (populate capacity,
+  /// zero-runtime guard) carries its error while the surviving lanes
+  /// complete the pass.
   /// Requires 1 <= lanes.size() <= kMaxLanes and out.size() ==
   /// lanes.size().
   static void replay(

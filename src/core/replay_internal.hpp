@@ -1,12 +1,12 @@
 #pragma once
 
-// Shared internals of the replay executors — the per-cell paths in
-// sensitivity_engine.cpp and the lane-fused band in lane_band.cpp. Every
-// run, whatever the ReplayMode, funnels its latency streams through
-// derive_measurement here, which is what makes "bit-identical across
-// replay modes" a structural property instead of a hope: the statistics
-// code literally cannot diverge between modes. Not installed API — core
-// internals only.
+// Shared internals of the two replays — the per-cell reference replay of
+// the raw Trace in sensitivity_engine.cpp and the lane-fused campaign
+// executor in lane_band.cpp. Every run funnels its latency streams
+// through derive_measurement here, which is what makes "the campaign
+// executor is bit-identical to the reference replay" a structural property
+// instead of a hope: the statistics code literally cannot diverge between
+// them. Not installed API — core internals only.
 
 #include <algorithm>
 #include <cstdint>
@@ -58,11 +58,11 @@ inline stats::Line fit_service_line(
 
 /// How the tail percentiles are extracted from the latency multiset.
 /// Both strategies interpolate between the same two sorted-rank values,
-/// so they produce bit-identical p95/p99 — the compiled-replay
-/// equivalence suite holds them against each other.
+/// so they produce bit-identical p95/p99 — the reference-replay
+/// equivalence suites hold them against each other.
 enum class PercentileMode : std::uint8_t {
-  kSortMerge,  ///< legacy arm: sort both streams, merge, index (n log n)
-  kSelect,     ///< compiled/fused arms: rank selection, no sort (O(n))
+  kSortMerge,  ///< reference replay: sort both streams, merge, index
+  kSelect,     ///< LaneBand: rank selection, no sort (O(n))
 };
 
 /// percentile_sorted without the sort: nth_element places exactly the
@@ -94,14 +94,14 @@ template <typename Vec>
 /// percentiles) as the concatenate-then-sort it replaced, without
 /// re-comparing elements each stream already ordered. kSelect skips
 /// sorting entirely and extracts the two tail ranks by selection; the
-/// percentile values are provably the same doubles, and the compiled ≡
-/// legacy tests plus the golden fixtures pin it.
+/// percentile values are provably the same doubles, and the LaneBand ≡
+/// reference tests plus the golden fixtures pin it.
 ///
 /// `Vec` is std::vector<double> (heap replay) or std::pmr::vector<double>
-/// (arena-backed compiled/fused replay); `merged` scratch must use the
-/// same allocator strategy as the inputs. The compiled path hands in the
-/// CompiledTrace's precomputed fit moments; the legacy path passes
-/// nullptr and recomputes the x-side per cell.
+/// (arena-backed LaneBand replay); `merged` scratch must use the same
+/// allocator strategy as the inputs. LaneBand hands in the CompiledTrace's
+/// precomputed fit moments; the reference replay passes nullptr and
+/// recomputes the x-side per cell.
 template <typename Vec>
 [[nodiscard]] util::Status derive_measurement(
     RunMeasurement& m, std::span<const double> read_bytes,

@@ -1,8 +1,6 @@
 #include "core/sensitivity_engine.hpp"
 
 #include <algorithm>
-#include <memory_resource>
-#include <span>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -10,9 +8,7 @@
 #include "hybridmem/hybrid_memory.hpp"
 #include "kvstore/dual_server.hpp"
 #include "stats/summary.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
-#include "workload/compiled_trace.hpp"
 
 namespace mnemo::core {
 
@@ -21,7 +17,7 @@ SensitivityConfig::SensitivityConfig()
 
 // The statistics tail (fit_service_line, percentile selection,
 // derive_measurement) lives in replay_internal.hpp, shared verbatim with
-// the lane-fused executor so the replay modes cannot drift apart.
+// the lane-fused campaign executor so the two replays cannot drift apart.
 using replay_detail::derive_measurement;
 using replay_detail::empty_trace_error;
 using replay_detail::PercentileMode;
@@ -113,95 +109,6 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
   const util::Status derived =
       derive_measurement(m, read_bytes, write_bytes, read_lat, write_lat,
                          merged, PercentileMode::kSortMerge);
-  if (!derived.ok()) return derived.error();
-  m.llc_hit_rate = memory.llc().hit_rate();
-  m.faults = memory.fault_stats();
-  return m;
-}
-
-RunMeasurement SensitivityEngine::run_once(
-    const workload::CompiledTrace& compiled,
-    const hybridmem::Placement& placement, int repeat,
-    util::Arena* arena) const {
-  util::Result<RunMeasurement> run =
-      try_run_once(compiled, placement, repeat, 0, arena);
-  MNEMO_ASSERT(run.ok() && "run_once requires a run that cannot fail");
-  return run.value();
-}
-
-util::Result<RunMeasurement> SensitivityEngine::try_run_once(
-    const workload::CompiledTrace& compiled,
-    const hybridmem::Placement& placement, int repeat, int attempt,
-    util::Arena* arena) const {
-  if (compiled.request_count() == 0) return empty_trace_error();
-
-  // One resource backs every per-cell allocation below — the platform's
-  // flat tables, both stores' slot pools, and the latency streams. With an
-  // arena those become grow-once bump allocations the worker reuses across
-  // cells; without one this is exactly the heap the Trace overload uses.
-  std::pmr::memory_resource* cell_memory =
-      arena != nullptr ? static_cast<std::pmr::memory_resource*>(arena)
-                       : std::pmr::get_default_resource();
-
-  hybridmem::HybridMemory memory(sized_platform(compiled.dataset_bytes()),
-                                 cell_memory);
-
-  kvstore::StoreConfig store_cfg;
-  store_cfg.payload_mode = config_.payload_mode;
-  store_cfg.seed = config_.seed + static_cast<std::uint64_t>(repeat) * 0x9e37;
-  store_cfg.table_memory = cell_memory;
-
-  kvstore::DualServer servers(memory, config_.store, store_cfg);
-  {
-    util::Status loaded = servers.populate(compiled, placement);
-    if (!loaded.ok()) return loaded.error();
-  }
-  memory.drop_caches();
-  if (!config_.faults.empty()) {
-    memory.arm_faults(config_.faults,
-                      (static_cast<std::uint64_t>(repeat) << 16) +
-                          static_cast<std::uint64_t>(attempt));
-  }
-
-  std::pmr::vector<double> read_lat(cell_memory);
-  std::pmr::vector<double> write_lat(cell_memory);
-  // Exact counts are campaign invariants the compile step already paid for.
-  read_lat.reserve(compiled.read_count());
-  write_lat.reserve(compiled.write_count());
-
-  RunMeasurement m;
-  m.requests = compiled.request_count();
-  const std::span<const std::uint64_t> hashes = compiled.key_hashes();
-  const std::span<const std::uint64_t> digests = compiled.key_digests();
-  // Replay off the compiled flat streams (1-byte ops + 4-byte keys) rather
-  // than the Trace's Request structs, through the unchecked execute form —
-  // every key was bounds-validated once when the trace compiled.
-  const std::span<const workload::OpType> ops = compiled.ops();
-  const std::span<const std::uint32_t> keys = compiled.keys();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const std::uint32_t key = keys[i];
-    const kvstore::KeyHints hints{hashes[key], digests[key]};
-    const util::Result<kvstore::OpResult> served =
-        servers.execute(ops[i], key, hints);
-    if (!served.ok()) return served.error();
-    const kvstore::OpResult r = served.value();
-    MNEMO_ASSERT(r.ok && "all requested keys were populated");
-    m.runtime_ns += r.service_ns;
-    m.latency_hist.add(r.service_ns);
-    if (ops[i] == workload::OpType::kRead) {
-      read_lat.push_back(r.service_ns);
-    } else {
-      write_lat.push_back(r.service_ns);
-    }
-  }
-  std::pmr::vector<double> merged(cell_memory);
-  // The per-request byte streams are placement-invariant: the compiled
-  // trace carries them pre-split, in the same order the pushes above used.
-  const util::Status derived =
-      derive_measurement(m, compiled.read_bytes(), compiled.write_bytes(),
-                         read_lat, write_lat, merged,
-                         PercentileMode::kSelect, &compiled.read_fit(),
-                         &compiled.write_fit());
   if (!derived.ok()) return derived.error();
   m.llc_hit_rate = memory.llc().hit_rate();
   m.faults = memory.fault_stats();

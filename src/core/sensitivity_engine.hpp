@@ -13,14 +13,6 @@
 #include "util/task_scheduler.hpp"
 #include "workload/trace.hpp"
 
-namespace mnemo::util {
-class Arena;
-}
-
-namespace mnemo::workload {
-class CompiledTrace;
-}
-
 namespace mnemo::core {
 
 /// Configuration of a measurement campaign: which store architecture, on
@@ -67,6 +59,8 @@ class SensitivityEngine {
   /// Execute the trace once against a fresh deployment with the given
   /// placement (seed-shifted by `repeat`), returning the client view.
   /// Asserting wrapper over try_run_once for healthy-platform callers.
+  /// Campaigns replay through core::LaneBand instead; this per-cell replay
+  /// of the raw Trace is the independent reference it is tested against.
   [[nodiscard]] RunMeasurement run_once(
       const workload::Trace& trace, const hybridmem::Placement& placement,
       int repeat = 0) const;
@@ -79,23 +73,6 @@ class SensitivityEngine {
   [[nodiscard]] util::Result<RunMeasurement> try_run_once(
       const workload::Trace& trace, const hybridmem::Placement& placement,
       int repeat = 0, int attempt = 0) const;
-
-  /// Compiled-campaign variants (DESIGN.md §12): replay a CompiledTrace,
-  /// passing each request's precomputed hash/digest through to the stores
-  /// and (optionally) backing every per-cell allocation — platform tables,
-  /// store slot pools, latency vectors — with `arena`. Results are
-  /// bit-identical to the Trace overloads; the arena is an allocation
-  /// strategy, never a behaviour change. The caller owns the arena's
-  /// reset cycle (reset between cells, after the cell's state is gone).
-  [[nodiscard]] RunMeasurement run_once(
-      const workload::CompiledTrace& compiled,
-      const hybridmem::Placement& placement, int repeat = 0,
-      util::Arena* arena = nullptr) const;
-
-  [[nodiscard]] util::Result<RunMeasurement> try_run_once(
-      const workload::CompiledTrace& compiled,
-      const hybridmem::Placement& placement, int repeat = 0, int attempt = 0,
-      util::Arena* arena = nullptr) const;
 
   /// Mean of `repeats` runs for one placement, fanned out as a
   /// measurement campaign over config().threads workers.
@@ -117,7 +94,7 @@ class SensitivityEngine {
   [[nodiscard]] hybridmem::EmulationProfile sized_platform(
       std::uint64_t dataset_bytes) const;
 
-  /// The lane-fused executor (core/lane_band) replays K cells per trace
+  /// The campaign executor (core/lane_band) replays K cells per trace
   /// pass; it builds each lane's deployment exactly like try_run_once, so
   /// it needs the same platform-sizing internals.
   friend class LaneBand;

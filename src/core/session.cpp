@@ -231,23 +231,11 @@ const MeasureArtifact& Session::measure() {
     }
   }
 
-  MeasureArtifact a;
+  // The checked campaign (DESIGN.md §7): a cell is accepted only when it
+  // is bit-identical to the fault-free platform — every cell, on a healthy
+  // one — and a lost baseline quarantines the estimates instead of
+  // silently skewing them.
   const SensitivityEngine sensitivity(to_sensitivity_config(config_.mnemo));
-  if (config_.mnemo.faults.empty()) {
-    a.baselines = sensitivity.baselines(trace_);
-    // The grid the campaign just ran: {Fast, Slow} × repeats. Counted from
-    // the grid shape, not the process-wide totals delta, so concurrent
-    // sessions on a shared scheduler never bleed into each other's count.
-    cells_run_ += grid_cells();
-    bool saved = false;
-    if (cache_on()) saved = store().save(key, a).ok();
-    measure_ = std::move(a);
-    trace_stage(MeasureArtifact::kStage, key, false, saved);
-    return *measure_;
-  }
-  // Degraded-mode campaign (DESIGN.md §7): a cell is accepted only when
-  // it is bit-identical to the fault-free platform; a lost baseline
-  // quarantines the estimates instead of silently skewing them.
   CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel,
                         config_.mnemo.scheduler, config_.mnemo.group);
   CampaignResult grid = runner.measure_grid_checked(

@@ -16,8 +16,8 @@ namespace mnemo::util {
 /// first cell warmed the arena up, subsequent cells on the same worker
 /// allocate without ever touching malloc.
 ///
-/// Single-threaded by design: each ThreadPool worker owns one Arena
-/// (thread_local in the campaign runner) and campaign cells are
+/// Single-threaded by design: each scheduler worker owns one Arena per band
+/// lane (thread_local in the campaign runner) and campaign cells are
 /// shared-nothing, so no synchronization is needed or provided.
 ///
 /// Requests larger than the next chunk would be get a dedicated chunk of

@@ -31,9 +31,26 @@ std::size_t TaskScheduler::Group::inflight() const {
   return queue_.size() + running_;
 }
 
-TaskScheduler::TaskScheduler(std::size_t threads) : pool_(threads) {
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    pool_.submit([this] { worker_loop(); });
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+TaskScheduler::TaskScheduler(std::size_t threads) {
+  const std::size_t n = threads == 0 ? hardware_threads() : threads;
+  workers_.reserve(n);
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // The workers already started must see stop before workers_'
+    // destructor joins them, or the join would wait forever.
+    {
+      std::lock_guard lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    throw;
   }
 }
 
@@ -44,7 +61,7 @@ TaskScheduler::~TaskScheduler() {
     stop_ = true;
   }
   cv_.notify_all();
-  // pool_'s destructor joins the workers.
+  // workers_' destructor joins the workers.
 }
 
 std::shared_ptr<TaskScheduler::Group> TaskScheduler::make_group() {

@@ -10,12 +10,15 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "util/cancel.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mnemo::util {
+
+/// Hardware concurrency with the zero-report fallback applied (min 1).
+[[nodiscard]] std::size_t hardware_threads();
 
 /// Structured-concurrency executor scheduling short, shared-nothing tasks
 /// (campaign cells, request state-machine steps) from many concurrent
@@ -114,7 +117,9 @@ class TaskScheduler {
 
   [[nodiscard]] std::shared_ptr<Group> make_group(GroupOptions opts);
   [[nodiscard]] std::shared_ptr<Group> make_group();  ///< default options
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
+  [[nodiscard]] std::size_t threads() const noexcept {
+    return workers_.size();
+  }
 
   /// Fork-join: submit fn(0..n) as kCell tasks of `group`, then
   /// cooperatively execute queued cells (any group's) on the calling
@@ -166,7 +171,9 @@ class TaskScheduler {
   std::size_t outstanding_ = 0;  ///< tasks submitted and not yet settled
   std::vector<std::shared_ptr<Group>> run_queue_;  ///< groups w/ queued work
   std::map<Ticket, Timer> timers_;
-  ThreadPool pool_;  ///< low-level backend; declared last: joins first
+  /// Each runs worker_loop(); declared last, so they join before the
+  /// state they use is destroyed.
+  std::vector<std::jthread> workers_;
 };
 
 }  // namespace mnemo::util

@@ -1,21 +1,27 @@
 // Equivalence oracle for the compile-once campaign path (DESIGN.md §12):
-// ReplayMode::kCompiled — shared CompiledTrace, hash/digest passthrough,
-// arena-backed cells — must produce measurements bit-identical
-// (field-for-field via RunMeasurement's defaulted operator==) to
-// ReplayMode::kLegacy, for every store architecture, with and without
-// faults, at every thread count in {1, 2, 8}.
+// the shared CompiledTrace, hash/digest passthrough and arena-backed
+// lanes behind CampaignRunner's default configuration must produce
+// measurements bit-identical (field-for-field via RunMeasurement's
+// defaulted operator==) to the serial reference campaign of
+// reference_campaign.hpp — per-cell SensitivityEngine::try_run_once over
+// the raw Trace — for every store architecture, with and without faults,
+// at every thread count in {1, 2, 8}.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/lane_band.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "workload/compiled_trace.hpp"
 #include "workload/workload_spec.hpp"
+
+#include "reference_campaign.hpp"
 
 namespace mnemo::core {
 namespace {
@@ -89,18 +95,11 @@ TEST(CompiledReplay, GridBitIdenticalToLegacyAcrossStoresAndThreads) {
     cfg.repeats = 2;
     const SensitivityEngine engine(cfg);
 
+    const std::vector<RunMeasurement> before =
+        reference::measure_grid(engine, trace, placements);
     for (const std::size_t threads : kThreadCounts) {
-      CampaignRunner legacy(threads);
-      legacy.set_replay_mode(ReplayMode::kLegacy);
+      // The default lane width; test_lane_fusion.cpp sweeps the others.
       CampaignRunner fast(threads);
-      // The default is now the lane-fused executor; this suite pins the
-      // per-cell compiled arm against legacy (the fused ≡ per-cell leg
-      // lives in test_lane_fusion.cpp).
-      ASSERT_EQ(fast.replay_mode(), ReplayMode::kFused);
-      fast.set_replay_mode(ReplayMode::kCompiled);
-
-      const std::vector<RunMeasurement> before =
-          legacy.measure_grid(engine, trace, placements);
       const std::vector<RunMeasurement> after =
           fast.measure_grid(engine, trace, placements);
       ASSERT_EQ(before.size(), after.size());
@@ -132,12 +131,10 @@ TEST(CompiledReplay, CheckedCampaignWithFaultsMatchesLegacy) {
     const std::vector<CampaignCell> cells = {
         {all_fast, 0}, {all_slow, 0}, {all_fast, 1}, {all_slow, 1}};
 
+    const CampaignResult before =
+        reference::run_checked(engine, trace, cells);
     for (const std::size_t threads : kThreadCounts) {
-      CampaignRunner legacy(threads);
-      legacy.set_replay_mode(ReplayMode::kLegacy);
       CampaignRunner fast(threads);
-
-      const CampaignResult before = legacy.run_checked(engine, trace, cells);
       const CampaignResult after = fast.run_checked(engine, trace, cells);
       ASSERT_EQ(before.measurements.size(), after.measurements.size());
       for (std::size_t i = 0; i < before.measurements.size(); ++i) {
@@ -159,15 +156,18 @@ TEST(CompiledReplay, DirectRunOnceWithExternalArenaMatchesHeap) {
   SensitivityConfig cfg;
   const SensitivityEngine engine(cfg);
 
+  // A one-lane band is the per-cell schedule the campaign runner uses for
+  // every cell; on an external arena it must match the heap reference
+  // replay, across arena reuse cycles.
   const RunMeasurement heap_legacy = engine.run_once(trace, half, 1);
-  const RunMeasurement heap_compiled = engine.run_once(compiled, half, 1);
-  EXPECT_EQ(heap_legacy, heap_compiled);
-
   util::Arena arena;
   for (int cycle = 0; cycle < 3; ++cycle) {
     arena.reset();
-    EXPECT_EQ(engine.run_once(compiled, half, 1, &arena), heap_legacy)
-        << "arena cycle " << cycle;
+    const LaneBand::Lane lane{&half, 1, 0, &arena};
+    std::optional<util::Result<RunMeasurement>> out;
+    LaneBand::replay(engine, compiled, {&lane, 1}, {&out, 1});
+    ASSERT_TRUE(out.has_value() && out->ok()) << "arena cycle " << cycle;
+    EXPECT_EQ(out->value(), heap_legacy) << "arena cycle " << cycle;
   }
 }
 
@@ -188,11 +188,13 @@ TEST(CompiledReplay, ZeroRequestTraceIsTypedErrorOnBothPaths) {
   EXPECT_EQ(legacy.error().code, util::ErrorCode::kInvalidArgument);
 
   util::Arena arena;
-  const util::Result<RunMeasurement> fast =
-      engine.try_run_once(compiled, placement, 0, 0, &arena);
-  ASSERT_FALSE(fast.ok());
-  EXPECT_EQ(fast.error().code, util::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(legacy.error().message, fast.error().message);
+  const LaneBand::Lane lane{&placement, 0, 0, &arena};
+  std::optional<util::Result<RunMeasurement>> fast;
+  LaneBand::replay(engine, compiled, {&lane, 1}, {&fast, 1});
+  ASSERT_TRUE(fast.has_value());
+  ASSERT_FALSE(fast->ok());
+  EXPECT_EQ(fast->error().code, util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(legacy.error().message, fast->error().message);
 }
 
 }  // namespace

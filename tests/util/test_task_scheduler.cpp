@@ -1,8 +1,9 @@
-// Dispatch-law property tests for the TaskScheduler (tentpole): EDF
-// ordering across groups, weighted-round-robin fairness without
-// starvation, run_batch fork-join semantics (exceptions, nesting,
-// cooperative help), cancellation shedding at cell boundaries, and the
-// deadline timer queue that replaced the watchdog thread.
+// Dispatch-law property tests for the TaskScheduler: EDF ordering across
+// groups, weighted-round-robin fairness without starvation, run_batch
+// fork-join semantics (exceptions, nesting, cooperative help),
+// cancellation shedding at cell boundaries, the deadline timer queue that
+// replaced the watchdog thread, and the worker lifecycle (sizing, drain on
+// destruction).
 //
 // Ordering tests use a single-worker scheduler plus a gate task: while
 // the only worker is parked inside the gate, the test stages a known
@@ -159,6 +160,22 @@ TEST(TaskSchedulerDispatch, WeightedRoundRobinGrantsWeightPerRound) {
   EXPECT_EQ(log.str(), "AABAAB");
 }
 
+TEST(TaskSchedulerDispatch, SingleWorkerRunsAGroupsTasksInSubmissionOrder) {
+  OrderLog log;
+  {
+    TaskScheduler sched(1);
+    Gate gate(sched);
+    auto group = sched.make_group();
+    for (int i = 0; i < 26; ++i) {
+      group->submit(TaskClass::kCell,
+                    [&log, i] { log.push(static_cast<char>('a' + i)); });
+    }
+    gate.release();
+  }
+  // One worker drains a group's FIFO: submission order is execution order.
+  EXPECT_EQ(log.str(), "abcdefghijklmnopqrstuvwxyz");
+}
+
 TEST(TaskSchedulerBatch, RunBatchRunsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 64;
   TaskScheduler sched(4);
@@ -189,6 +206,42 @@ TEST(TaskSchedulerBatch, FirstCellExceptionIsRethrownAfterTheBatchDrains) {
   std::atomic<int> after{0};
   sched.run_batch(*group, 4, [&](std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 4);
+}
+
+TEST(TaskSchedulerBatch, ZeroCellBatchIsANoop) {
+  TaskScheduler sched(2);
+  auto group = sched.make_group();
+  bool ran = false;
+  sched.run_batch(*group, 0, [&](std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(group->inflight(), 0u);
+}
+
+TEST(TaskSchedulerBatch, ConcurrentThrowersSurfaceExactlyOne) {
+  // Every cell throws a distinct exception; exactly one of them surfaces,
+  // without terminate() or deadlock, and no throw cancels its siblings.
+  constexpr std::size_t kN = 64;
+  TaskScheduler sched(4);
+  auto group = sched.make_group();
+  std::atomic<int> ran{0};
+  try {
+    sched.run_batch(*group, kN, [&](std::size_t i) {
+      ++ran;
+      throw std::runtime_error("thrower " + std::to_string(i));
+    });
+    FAIL() << "expected an exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("thrower ", 0), 0u) << e.what();
+  }
+  EXPECT_EQ(ran.load(), static_cast<int>(kN));
+}
+
+TEST(TaskSchedulerBatch, MoreWorkersThanCellsStillCoversAll) {
+  TaskScheduler sched(8);
+  auto group = sched.make_group();
+  std::vector<std::atomic<int>> hits(3);
+  sched.run_batch(*group, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(TaskSchedulerBatch, NestedRunBatchFromAWorkerTaskCompletes) {
@@ -307,6 +360,47 @@ TEST(TaskSchedulerTimer, TimersFireEvenWhileCellsKeepWorkersBusy) {
     });
   }
   EXPECT_TRUE(fired.load());
+}
+
+TEST(TaskSchedulerLifecycle, DefaultSizeIsHardwareConcurrency) {
+  TaskScheduler sched;
+  EXPECT_GE(sched.threads(), 1u);
+  EXPECT_EQ(sched.threads(), hardware_threads());
+  TaskScheduler sized(3);
+  EXPECT_EQ(sized.threads(), 3u);
+}
+
+TEST(TaskSchedulerLifecycle, IdleSchedulerDestructsCleanly) {
+  // Construct and destroy without submitting anything: the parked workers
+  // must wake on stop and join.
+  { TaskScheduler sched(3); }
+  { TaskScheduler sched(1); }
+  SUCCEED();
+}
+
+TEST(TaskSchedulerLifecycle, DestructionDrainsQueuedTasks) {
+  std::atomic<int> done{0};
+  {
+    TaskScheduler sched(1);
+    auto group = sched.make_group();
+    // The first task holds the only worker long enough for the rest to
+    // pile up, so the destructor starts with a non-empty queue; it also
+    // submits a follow-up, which the drain must cover too.
+    group->submit(TaskClass::kRequest, [&, group] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      group->submit(TaskClass::kCell, [&] { ++done; });
+      ++done;
+    });
+    for (int i = 0; i < 40; ++i) {
+      group->submit(TaskClass::kCell, [&] { ++done; });
+    }
+  }
+  // The destructor joined only after every task, follow-up included, ran.
+  EXPECT_EQ(done.load(), 42);
+}
+
+TEST(HardwareThreads, IsAtLeastOne) {
+  EXPECT_GE(hardware_threads(), 1u);
 }
 
 }  // namespace
