@@ -51,18 +51,62 @@ void record_campaign(const CampaignStats& stats,
       std::max(reg.arena_peak_bytes, stats.arena_peak_bytes);
 }
 
-/// Worker-local arena pool: lane j of every band this worker runs reuses
-/// arenas[j], rewound before each attempt but keeping its grown chunks, so
-/// after a worker's first band warmed its lanes up, later bands allocate
-/// without touching malloc. Arenas are not movable, hence the unique_ptr
-/// indirection.
-util::Arena& worker_arena(std::size_t lane) {
-  thread_local std::vector<std::unique_ptr<util::Arena>> arenas;
-  while (arenas.size() <= lane) {
-    arenas.push_back(std::make_unique<util::Arena>());
-  }
-  return *arenas[lane];
+/// Lane arenas for one band (DESIGN.md §12): lane j of the band replays on
+/// arenas[j], rewound before each attempt but keeping its grown chunks.
+/// Arenas are not movable, hence the unique_ptr indirection.
+using ArenaKit = std::vector<std::unique_ptr<util::Arena>>;
+
+/// The process-wide pool of idle kits. A band checks out a whole kit and
+/// returns it when it ends, so no more kits exist than bands were ever in
+/// flight at once, and a later band — of this campaign or the next —
+/// reuses warm arenas instead of going back to malloc. LIFO: the kit last
+/// returned, grown to the current footprint, is the next one handed out.
+struct KitPool {
+  std::mutex mu;
+  std::vector<std::unique_ptr<ArenaKit>> idle;
+};
+
+KitPool& kit_pool() {
+  static KitPool pool;
+  return pool;
 }
+
+/// One band's lease on a kit. The kit is checked out whole, so lane j
+/// keeps its role from band to band — in a shaped band the leader at lane
+/// 0 reuses a leader-sized arena. On return every arena is trimmed to the
+/// chunks this band reached, which bounds what the pool retains by the
+/// footprint of the latest bands rather than the largest ever seen.
+class KitLease {
+ public:
+  KitLease() {
+    KitPool& pool = kit_pool();
+    std::lock_guard lock(pool.mu);
+    if (pool.idle.empty()) {
+      kit_ = std::make_unique<ArenaKit>();
+    } else {
+      kit_ = std::move(pool.idle.back());
+      pool.idle.pop_back();
+    }
+  }
+  ~KitLease() {
+    for (const std::unique_ptr<util::Arena>& arena : *kit_) arena->trim();
+    KitPool& pool = kit_pool();
+    std::lock_guard lock(pool.mu);
+    pool.idle.push_back(std::move(kit_));
+  }
+  KitLease(const KitLease&) = delete;
+  KitLease& operator=(const KitLease&) = delete;
+
+  [[nodiscard]] util::Arena& arena(std::size_t lane) {
+    while (kit_->size() <= lane) {
+      kit_->push_back(std::make_unique<util::Arena>());
+    }
+    return *(*kit_)[lane];
+  }
+
+ private:
+  std::unique_ptr<ArenaKit> kit_;
+};
 
 /// Lock-free running max for the campaign-wide arena high-water mark.
 void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
@@ -167,30 +211,40 @@ constexpr int kMaxAttempts = 2;
 }
 
 /// One checked campaign in flight, shared by the blocking fan-out and the
-/// async grid. The cells are partitioned into bands of `width` consecutive
-/// cells — a partition that depends only on the cell count and the width,
-/// never on threads or scheduling — and band b writes only its own cells'
-/// slots, so the result is in cell order and bit-identical at any thread
-/// count.
+/// async grid. The cells are partitioned into bands by partition_bands —
+/// shaped by the cell count and the `workers` the campaign fans out on,
+/// the one place either entry point picks a width — and band b writes only
+/// its own cells' slots, so the result is in cell order and bit-identical
+/// at any thread count and width.
 class BandCampaign {
  public:
   /// Compiles the trace once: the per-key hashes/digests/byte streams are
   /// placement- and repeat-invariant, so every band shares one read-only
   /// artifact instead of re-deriving them (DESIGN.md §12).
   BandCampaign(const SensitivityEngine& engine, const workload::Trace& trace,
-               const std::vector<CampaignCell>& cells, std::size_t width,
-               const util::CancelToken* cancel)
+               const std::vector<CampaignCell>& cells, std::size_t workers,
+               std::size_t max_width, const util::CancelToken* cancel)
       : engine_(engine),
         compiled_(trace),
         cells_(cells),
-        width_(width),
+        workers_(workers),
+        partition_(partition_bands(cells.size(), sibling_group(cells),
+                                   workers, max_width)),
         cancel_(cancel),
         slots_(cells.size()),
         failed_(cells.size()),
         cell_s_(cells.size(), 0.0) {}
 
-  [[nodiscard]] std::size_t bands() const {
-    return cells_.empty() ? 0 : (cells_.size() + width_ - 1) / width_;
+  [[nodiscard]] std::size_t bands() const { return partition_.bands; }
+
+  /// Scheduler credits one band draws: a band narrower than the default
+  /// width draws its share of a full dispatch, so shaping a campaign into
+  /// more, narrower bands costs it no extra round-robin rounds.
+  [[nodiscard]] std::uint32_t band_cost() const {
+    return static_cast<std::uint32_t>(std::min<std::size_t>(
+        util::TaskScheduler::kFullCost,
+        partition_.width * util::TaskScheduler::kFullCost /
+            LaneBand::kDefaultLanes));
   }
 
   /// The band task. Attempt 0 replays every lane of the band in one
@@ -203,13 +257,15 @@ class BandCampaign {
     // Cancellation point *between* bands: a canceled campaign skips bands
     // it has not started, never interrupts one mid-flight.
     if (cancel_ != nullptr && cancel_->canceled()) return;
-    const std::size_t first = b * width_;
-    const std::size_t count = std::min(width_, cells_.size() - first);
+    const std::size_t width = partition_.width;
+    const std::size_t first = b * width;
+    const std::size_t count = std::min(width, cells_.size() - first);
     faultinject::chaos_band_delay(first, count);
     // Thread-CPU time, not wall: a band's cost must not include the time
     // its worker spent descheduled, or an oversubscribed scheduler would
     // fabricate speedup.
     util::ThreadCpuTimer band_timer;
+    KitLease kit;
 
     std::array<std::size_t, LaneBand::kMaxLanes> pending;  ///< band lanes
     std::size_t num_pending = count;
@@ -225,7 +281,7 @@ class BandCampaign {
         const CampaignCell& cell = cells_[first + pending[p]];
         // The lane's previous attempt is fully torn down, so the rewind
         // is safe between attempts too.
-        util::Arena& arena = worker_arena(pending[p]);
+        util::Arena& arena = kit.arena(pending[p]);
         arena.reset();
         lanes[p] = LaneBand::Lane{&cell.placement, cell.repeat, attempt,
                                   &arena};
@@ -241,7 +297,7 @@ class BandCampaign {
         // Deallocation is a no-op, so bytes_allocated() still reports the
         // attempt's full footprint after its state is gone.
         band_arena =
-            std::max(band_arena, worker_arena(pending[p]).bytes_allocated());
+            std::max(band_arena, kit.arena(pending[p]).bytes_allocated());
         util::Result<RunMeasurement>& run = *outs[p];
         if (accepted(run)) {
           slots_[i] = std::move(run.value());
@@ -261,17 +317,16 @@ class BandCampaign {
   }
 
   /// The campaign tail, after every band settled: accounting into `stats`
-  /// (`workers` caps the fan-out, which never exceeds the band count),
-  /// then the cell-ordered ledger and the process-wide totals. A canceled
-  /// campaign throws util::CanceledError instead, so partial grids can
-  /// never flow into caches or artifacts.
-  [[nodiscard]] CampaignResult finish(std::size_t workers,
-                                      CampaignStats& accounting) {
+  /// (the fan-out is the workers, capped by the band count), then the
+  /// cell-ordered ledger and the process-wide totals. A canceled campaign
+  /// throws util::CanceledError instead, so partial grids can never flow
+  /// into caches or artifacts.
+  [[nodiscard]] CampaignResult finish(CampaignStats& accounting) {
     accounting = CampaignStats{};
     accounting.cells = cells_.size();
-    accounting.lane_width = width_;
+    accounting.lane_width = partition_.width;
     accounting.threads = std::max<std::size_t>(
-        1, std::min(workers, std::max<std::size_t>(1, bands())));
+        1, std::min(workers_, std::max<std::size_t>(1, bands())));
     accounting.wall_s = wall_.elapsed_s();
     accounting.arena_peak_bytes = arena_peak_.load(std::memory_order_relaxed);
     CampaignResult result;
@@ -296,7 +351,8 @@ class BandCampaign {
   const SensitivityEngine& engine_;
   const workload::CompiledTrace compiled_;
   const std::vector<CampaignCell>& cells_;
-  const std::size_t width_;
+  const std::size_t workers_;
+  const BandPartition partition_;
   const util::CancelToken* cancel_;
   std::vector<std::optional<RunMeasurement>> slots_;
   std::vector<std::optional<CellFailure>> failed_;
@@ -318,9 +374,9 @@ struct AsyncGrid {
         repeats(engine->config().repeats),
         num_placements(placements.size()),
         cells(build_grid_cells(placements, repeats)),
-        // The async grid always replays with the default lane width.
-        campaign(*engine, trace, cells, LaneBand::kDefaultLanes, cancel),
         group(std::move(g)),
+        campaign(*engine, trace, cells, group->scheduler().threads(),
+                 LaneBand::kDefaultLanes, cancel),
         done(std::move(d)),
         remaining(campaign.bands()) {}
 
@@ -328,8 +384,8 @@ struct AsyncGrid {
   int repeats;
   std::size_t num_placements;
   std::vector<CampaignCell> cells;
-  BandCampaign campaign;
   std::shared_ptr<util::TaskScheduler::Group> group;
+  BandCampaign campaign;
   std::function<void(CampaignRunner::AsyncOutcome)> done;
   std::atomic<std::size_t> remaining;  ///< bands still outstanding
 };
@@ -341,8 +397,7 @@ void merge_async_grid(AsyncGrid& grid) {
   CampaignRunner::AsyncOutcome outcome;
   try {
     outcome.grid = merge_placement_grid(
-        grid.campaign.finish(grid.group->scheduler().threads(),
-                             outcome.stats),
+        grid.campaign.finish(outcome.stats),
         grid.num_placements, grid.repeats);
   } catch (...) {
     outcome.error = std::current_exception();
@@ -351,6 +406,22 @@ void merge_async_grid(AsyncGrid& grid) {
 }
 
 }  // namespace
+
+std::size_t sibling_group(const std::vector<CampaignCell>& cells) {
+  std::size_t group = 1;
+  while (group < cells.size() && cells[group].repeat != 0) ++group;
+  return group;
+}
+
+BandPartition partition_bands(std::size_t cells, std::size_t group,
+                              std::size_t workers, std::size_t cap) {
+  cap = std::clamp<std::size_t>(cap, 1, LaneBand::kMaxLanes);
+  const std::size_t unit = group >= 1 && group <= cap ? group : 1;
+  const auto bands_at = [cells](std::size_t w) { return (cells + w - 1) / w; };
+  std::size_t width = cap / unit * unit;
+  while (width > unit && bands_at(width) < workers) width -= unit;
+  return {width, bands_at(width)};
+}
 
 double CampaignStats::speedup() const {
   return wall_s > 0.0 ? cpu_s / wall_s : 0.0;
@@ -407,7 +478,7 @@ CampaignRunner::CampaignRunner(std::size_t threads,
       scheduler_(scheduler),
       group_(group) {}
 
-void CampaignRunner::fan_out(std::size_t n,
+void CampaignRunner::fan_out(std::size_t n, std::uint32_t cost,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   util::TaskScheduler::GroupOptions opts;
@@ -416,10 +487,10 @@ void CampaignRunner::fan_out(std::size_t n,
     // Shared scheduler: bands interleave with every other campaign's under
     // its fairness policy; the calling thread helps run bands meanwhile.
     if (group_ != nullptr) {
-      scheduler_->run_batch(*group_, n, fn);
+      scheduler_->run_batch(*group_, n, fn, cost);
     } else {
       auto group = scheduler_->make_group(opts);
-      scheduler_->run_batch(*group, n, fn);
+      scheduler_->run_batch(*group, n, fn, cost);
     }
     return;
   }
@@ -432,15 +503,16 @@ void CampaignRunner::fan_out(std::size_t n,
   }
   util::TaskScheduler local(workers);
   auto group = local.make_group(opts);
-  local.run_batch(*group, n, fn);
+  local.run_batch(*group, n, fn, cost);
 }
 
 CampaignResult CampaignRunner::run_checked(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  BandCampaign campaign(engine, trace, cells, lane_width_, cancel_);
-  fan_out(campaign.bands(), [&](std::size_t b) { campaign.run_band(b); });
-  return campaign.finish(threads_, stats_);
+  BandCampaign campaign(engine, trace, cells, threads_, lane_width_, cancel_);
+  fan_out(campaign.bands(), campaign.band_cost(),
+          [&](std::size_t b) { campaign.run_band(b); });
+  return campaign.finish(stats_);
 }
 
 std::vector<RunMeasurement> CampaignRunner::run(
@@ -485,16 +557,19 @@ void CampaignRunner::measure_grid_checked_async(
   for (std::size_t b = 0; b < bands; ++b) {
     // A kCell task is a lane band — the same fairness unit across serve,
     // session and blocking campaigns.
-    grid->group->submit(util::TaskScheduler::TaskClass::kCell, [grid, b] {
-      grid->campaign.run_band(b);
-      // The last band to settle hands off to the merge continuation —
-      // submitted from inside a still-outstanding task, so the scheduler
-      // never observes a quiescent gap mid-campaign.
-      if (grid->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        grid->group->submit(util::TaskScheduler::TaskClass::kRequest,
-                            [grid] { merge_async_grid(*grid); });
-      }
-    });
+    grid->group->submit(
+        util::TaskScheduler::TaskClass::kCell,
+        [grid, b] {
+          grid->campaign.run_band(b);
+          // The last band to settle hands off to the merge continuation —
+          // submitted from inside a still-outstanding task, so the
+          // scheduler never observes a quiescent gap mid-campaign.
+          if (grid->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            grid->group->submit(util::TaskScheduler::TaskClass::kRequest,
+                                [grid] { merge_async_grid(*grid); });
+          }
+        },
+        grid->campaign.band_cost());
   }
 }
 

@@ -67,12 +67,13 @@ struct CampaignStats {
   double cpu_s = 0.0;       ///< sum of per-cell wall times
   double cell_p50_s = 0.0;  ///< median cell duration
   double cell_p95_s = 0.0;  ///< p95 cell duration
-  /// Lanes per band this campaign replayed with (1 = one cell per band).
-  /// Max-merged: the widest band any merged campaign used.
+  /// Lanes per band this campaign's partition used (1 = one cell per
+  /// band): the runner's lane_width() cap, shaped by the cell and worker
+  /// counts. Max-merged: the widest band any merged campaign used.
   std::size_t lane_width = 0;
   /// High-water mark of any single lane arena's bytes_allocated() across
-  /// the campaign — the grow-once footprint one lane of replay needs.
-  /// Max-merged; 0 when the campaign had no cells.
+  /// the campaign — the footprint one lane of replay needs from its band's
+  /// arena kit. Max-merged; 0 when the campaign had no cells.
   std::size_t arena_peak_bytes = 0;
 
   /// cpu / wall: average number of cells in flight — the wall-clock
@@ -90,13 +91,44 @@ struct CampaignStats {
   [[nodiscard]] std::string render(const std::string& title) const;
 };
 
+/// How a campaign's cells split into lane bands: `bands` runs of `width`
+/// consecutive cells (the last one possibly shorter).
+struct BandPartition {
+  std::size_t width = 1;
+  std::size_t bands = 0;
+
+  [[nodiscard]] bool operator==(const BandPartition&) const = default;
+};
+
+/// Size of the repeat-sibling group a cell vector opens with: cell 0 plus
+/// the cells right after it with `repeat != 0` — a repeat-major grid's
+/// `repeats`, and 1 for any vector whose second cell starts a new group.
+[[nodiscard]] std::size_t sibling_group(
+    const std::vector<CampaignCell>& cells);
+
+/// The band partition of `cells` cells in sibling groups of `group` on
+/// `workers` workers, at most `cap` lanes per band (DESIGN.md §14). The
+/// width grows in whole sibling groups, so siblings never straddle a band
+/// edge and keep sharing their skeleton (a group wider than `cap` is split
+/// anyway, and the width then grows by single cells). It starts at the
+/// widest such width within `cap` and narrows, one group at a time, while
+/// there are fewer bands than workers — never below one group. So at one
+/// worker, or when the bands already outnumber the workers, the width is
+/// the cap rounded down to whole groups. Lane width never changes results,
+/// so neither does the worker count this reads.
+[[nodiscard]] BandPartition partition_bands(std::size_t cells,
+                                            std::size_t group,
+                                            std::size_t workers,
+                                            std::size_t cap);
+
 /// The campaign runner: takes a set of (placement, repeat) cells, compiles
-/// the trace once, partitions the cells into bands of lane_width()
-/// consecutive cells and submits each band to a util::TaskScheduler as one
-/// shared-nothing task that core::LaneBand replays in a single pass
-/// (DESIGN.md §14). Each lane builds its own deployment and seed-shifted
-/// RNG, and results are merged in the fixed cell order — so aggregates are
-/// bit-identical to the serial path at any thread count and lane width.
+/// the trace once, partitions the cells into lane bands shaped by the cell
+/// count and the worker count (partition_bands) and submits each band to a
+/// util::TaskScheduler as one shared-nothing task that core::LaneBand
+/// replays in a single pass (DESIGN.md §14). Each lane builds its own
+/// deployment and seed-shifted RNG, and results are merged in the fixed
+/// cell order — so aggregates are bit-identical to the serial path at any
+/// thread count and lane width.
 /// Every sweep-shaped feature (baselines, validation sweeps, sharding)
 /// should go through here rather than hand-rolling a fan-out over
 /// measurements.
@@ -189,11 +221,10 @@ class CampaignRunner {
 
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
-  /// Lanes per band, clamped to [1, LaneBand::kMaxLanes]; width 1 replays
-  /// one cell per band. The band partition depends only on the cell count
-  /// and this width — never on the thread count — so grids stay
-  /// bit-identical at any `threads`, and fixed lane widths stay comparable
-  /// across runs.
+  /// Cap on lanes per band, clamped to [1, LaneBand::kMaxLanes]; width 1
+  /// replays one cell per band. partition_bands shapes the actual width
+  /// below it from the cell and worker counts; results are bit-identical
+  /// at any width, so this only bounds the shape (tests pin it).
   void set_lane_width(std::size_t width) noexcept {
     lane_width_ = std::clamp<std::size_t>(width, 1, LaneBand::kMaxLanes);
   }
@@ -203,9 +234,11 @@ class CampaignRunner {
   [[nodiscard]] const CampaignStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Run fn(0..n) to completion: on the injected scheduler group when one
-  /// was provided, else on a transient scheduler (serial loop at 1).
-  void fan_out(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Run fn(0..n) to completion, each task drawing `cost` scheduler
+  /// credits: on the injected scheduler group when one was provided, else
+  /// on a transient scheduler (serial loop at 1).
+  void fan_out(std::size_t n, std::uint32_t cost,
+               const std::function<void(std::size_t)>& fn);
 
   std::size_t threads_;
   const util::CancelToken* cancel_;

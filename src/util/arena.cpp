@@ -59,7 +59,7 @@ void* Arena::do_allocate(std::size_t bytes, std::size_t alignment) {
                                       : chunks_.back().size * 2;
   grown = std::max(grown, need);
   Chunk chunk;
-  chunk.data = std::make_unique<std::byte[]>(grown);
+  chunk.data = std::make_unique_for_overwrite<std::byte[]>(grown);
   chunk.size = grown;
   bytes_reserved_ += grown;
   chunks_.push_back(std::move(chunk));
@@ -79,6 +79,13 @@ void* Arena::do_allocate(std::size_t bytes, std::size_t alignment) {
   offset_ = start + bytes;
   ++allocation_count_;
   return p;
+}
+
+void Arena::trim() noexcept {
+  while (chunks_.size() > chunk_idx_ + 1) {
+    bytes_reserved_ -= chunks_.back().size;
+    chunks_.pop_back();
+  }
 }
 
 }  // namespace mnemo::util

@@ -13,12 +13,14 @@ namespace mnemo::util {
 /// a chain of geometrically growing chunks. Deallocation is a no-op —
 /// everything a cell allocated is released at once by reset(), which
 /// rewinds to the first chunk while *keeping* every chunk, so after the
-/// first cell warmed the arena up, subsequent cells on the same worker
-/// allocate without ever touching malloc.
+/// first cell warmed the arena up, subsequent cells on the same arena
+/// allocate without ever touching malloc. Chunks are not zero-filled, so
+/// pages a cell never touches are never made resident.
 ///
-/// Single-threaded by design: each scheduler worker owns one Arena per band
-/// lane (thread_local in the campaign runner) and campaign cells are
-/// shared-nothing, so no synchronization is needed or provided.
+/// Single-threaded by design: the campaign runner keeps one Arena per band
+/// lane in "kits" that a band checks out whole, so an arena serves one
+/// band at a time and campaign cells are shared-nothing — no
+/// synchronization is needed or provided.
 ///
 /// Requests larger than the next chunk would be get a dedicated chunk of
 /// exactly the needed size, spliced into the chain like any other — they
@@ -43,6 +45,11 @@ class Arena final : public std::pmr::memory_resource {
     bytes_allocated_ = 0;
     allocation_count_ = 0;
   }
+
+  /// Release every chunk past the one the cursor stands in — the chunks
+  /// the allocations since the last reset() never reached — so a reused
+  /// arena keeps only the footprint of its latest use.
+  void trim() noexcept;
 
   /// Bytes handed out since the last reset (includes alignment padding).
   [[nodiscard]] std::size_t bytes_allocated() const noexcept {

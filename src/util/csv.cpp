@@ -1,16 +1,22 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <stdexcept>
 
 #include "util/assert.hpp"
 
 namespace mnemo::util::csv {
 
+namespace {
+
+[[nodiscard]] bool needs_quote(std::string_view field) {
+  return field.find_first_of(",\"\n\r") != std::string_view::npos;
+}
+
+}  // namespace
+
 std::string escape(std::string_view field) {
-  const bool needs_quote =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quote) return std::string(field);
+  if (!needs_quote(field)) return std::string(field);
   std::string out;
   out.reserve(field.size() + 2);
   out.push_back('"');
@@ -33,9 +39,25 @@ Writer::~Writer() {
 }
 
 void Writer::write_field(std::string_view v) {
-  if (row_open_) *out_ << ',';
-  *out_ << escape(v);
+  if (row_open_) out_->put(',');
+  if (needs_quote(v)) {
+    *out_ << escape(v);
+  } else {
+    out_->write(v.data(), static_cast<std::streamsize>(v.size()));
+  }
   row_open_ = true;
+}
+
+template <typename T, typename... Format>
+void Writer::write_number(T v, Format... format) {
+  // std::to_chars: locale-free and allocation-free. For floating point,
+  // chars_format::general at a precision is specified as printf's %.*g,
+  // whose output is at most precision + 8 characters.
+  char buf[128];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, format...);
+  MNEMO_ASSERT(r.ec == std::errc{});
+  write_field(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
 }
 
 Writer& Writer::field(std::string_view v) {
@@ -44,19 +66,17 @@ Writer& Writer::field(std::string_view v) {
 }
 
 Writer& Writer::field(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-  write_field(buf);
+  write_number(v, std::chars_format::general, precision);
   return *this;
 }
 
 Writer& Writer::field(std::uint64_t v) {
-  write_field(std::to_string(v));
+  write_number(v);
   return *this;
 }
 
 Writer& Writer::field(std::int64_t v) {
-  write_field(std::to_string(v));
+  write_number(v);
   return *this;
 }
 

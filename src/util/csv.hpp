@@ -33,6 +33,7 @@ class Writer {
 
   /// Incremental row building: field(...) repeatedly, then end_row().
   Writer& field(std::string_view v);
+  /// Rendered exactly as printf's "%.*g" (precision at most 120).
   Writer& field(double v, int precision = 6);
   Writer& field(std::uint64_t v);
   Writer& field(std::int64_t v);
@@ -42,6 +43,8 @@ class Writer {
 
  private:
   void write_field(std::string_view v);
+  template <typename T, typename... Format>
+  void write_number(T v, Format... format);
 
   std::ofstream file_;
   std::ostream* out_;

@@ -18,10 +18,11 @@ struct TaskScheduler::Group::BatchState {
   std::exception_ptr error;  ///< first cell failure wins
 };
 
-void TaskScheduler::Group::submit(TaskClass cls, std::function<void()> fn) {
+void TaskScheduler::Group::submit(TaskClass cls, std::function<void()> fn,
+                                  std::uint32_t cost) {
   {
     std::lock_guard lock(sched_->mu_);
-    sched_->submit_locked(*this, cls, std::move(fn), nullptr);
+    sched_->submit_locked(*this, cls, std::move(fn), nullptr, cost);
   }
   sched_->cv_.notify_all();
 }
@@ -78,14 +79,16 @@ std::shared_ptr<TaskScheduler::Group> TaskScheduler::make_group(
 
 void TaskScheduler::submit_locked(Group& group, TaskClass cls,
                                   std::function<void()> fn,
-                                  std::shared_ptr<BatchState> batch) {
-  group.queue_.push_back(Task{std::move(fn), cls, std::move(batch)});
+                                  std::shared_ptr<BatchState> batch,
+                                  std::uint32_t cost) {
+  group.queue_.push_back(Task{std::move(fn), cls, std::move(batch),
+                              std::clamp<std::uint32_t>(cost, 1, kFullCost)});
   ++outstanding_;
   if (!group.in_run_queue_) {
     group.in_run_queue_ = true;
     // A group (re-)entering the run queue joins the current round with a
     // fresh credit grant.
-    group.credits_ = group.opts_.weight;
+    group.credits_ = group.opts_.weight * kFullCost;
     run_queue_.push_back(group.shared_from_this());
   }
 }
@@ -123,7 +126,7 @@ std::optional<TaskScheduler::Popped> TaskScheduler::pop_locked(
       std::shared_ptr<Group> group = run_queue_[best];
       Popped popped{std::move(group->queue_.front()), group};
       group->queue_.pop_front();
-      --group->credits_;
+      group->credits_ -= std::min(group->credits_, popped.task.cost);
       ++group->running_;
       if (group->queue_.empty()) {
         run_queue_.erase(run_queue_.begin() +
@@ -135,7 +138,7 @@ std::optional<TaskScheduler::Popped> TaskScheduler::pop_locked(
     // Nothing dispatchable. If some eligible group was only held back by
     // an empty credit balance, the round is over: refill and retry once.
     if (!spent_group_waiting) return std::nullopt;
-    for (auto& g : run_queue_) g->credits_ = g->opts_.weight;
+    for (auto& g : run_queue_) g->credits_ = g->opts_.weight * kFullCost;
   }
   return std::nullopt;
 }
@@ -190,7 +193,8 @@ void TaskScheduler::execute(Popped popped) {
 }
 
 void TaskScheduler::run_batch(Group& group, std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
+                              const std::function<void(std::size_t)>& fn,
+                              std::uint32_t cost) {
   if (n == 0) return;
   auto batch = std::make_shared<BatchState>();
   batch->remaining = n;
@@ -198,7 +202,7 @@ void TaskScheduler::run_batch(Group& group, std::size_t n,
     std::lock_guard lock(mu_);
     for (std::size_t i = 0; i < n; ++i) {
       submit_locked(
-          group, TaskClass::kCell, [&fn, i] { fn(i); }, batch);
+          group, TaskClass::kCell, [&fn, i] { fn(i); }, batch, cost);
     }
   }
   cv_.notify_all();

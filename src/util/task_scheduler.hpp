@@ -29,8 +29,11 @@ namespace mnemo::util {
 ///
 ///   - every runnable group holds a credit balance, refilled to its
 ///     configured weight only once *all* runnable groups are spent — so
-///     each group is guaranteed `weight` dispatches per round and no
-///     group starves, however large its backlog;
+///     each group is guaranteed `weight` full-cost dispatches per round
+///     and no group starves, however large its backlog. A task submitted
+///     at a fraction of kFullCost draws only that fraction, so a request
+///     whose work is split into smaller tasks gets no fewer of them done
+///     per round;
 ///   - within a round, the next task comes from the credit-holding group
 ///     with the earliest armed deadline (deadline-free groups sort last),
 ///     ties broken by group creation order, which makes dispatch
@@ -56,11 +59,15 @@ class TaskScheduler {
   /// request can never re-enter another request's driver beneath it.
   enum class TaskClass : std::uint8_t { kCell = 0, kRequest = 1 };
 
+  /// Credits a task draws unless submitted lighter (costs clamp to
+  /// [1, kFullCost]); a round grants each group weight × kFullCost.
+  static constexpr std::uint32_t kFullCost = 4;
+
   struct GroupOptions {
     /// EDF key: groups with earlier armed deadlines dispatch first within
     /// a round; an unarmed deadline sorts after every armed one.
     Deadline deadline;
-    /// Credits granted per round-robin round (min 1).
+    /// Full-cost dispatches granted per round-robin round (min 1).
     std::uint32_t weight = 1;
     /// Group-wide cancellation scope: batch cells of a canceled group are
     /// shed at dispatch (their batch still drains, so waiters settle).
@@ -70,9 +77,11 @@ class TaskScheduler {
 
   class Group : public std::enable_shared_from_this<Group> {
    public:
-    /// Enqueue a task. kRequest tasks must not throw — a detached task
-    /// has no waiter to deliver the exception to (logged and dropped).
-    void submit(TaskClass cls, std::function<void()> fn);
+    /// Enqueue a task drawing `cost` credits when dispatched. kRequest
+    /// tasks must not throw — a detached task has no waiter to deliver the
+    /// exception to (logged and dropped).
+    void submit(TaskClass cls, std::function<void()> fn,
+                std::uint32_t cost = kFullCost);
 
     [[nodiscard]] const GroupOptions& options() const noexcept {
       return opts_;
@@ -90,6 +99,7 @@ class TaskScheduler {
       std::function<void()> fn;
       TaskClass cls = TaskClass::kCell;
       std::shared_ptr<BatchState> batch;  ///< null for detached tasks
+      std::uint32_t cost = kFullCost;     ///< credits drawn at dispatch
     };
 
     Group(TaskScheduler* sched, GroupOptions opts, std::uint64_t seq)
@@ -126,9 +136,11 @@ class TaskScheduler {
   /// thread until all n have settled. The first exception thrown by a
   /// cell is rethrown here after the batch drains. Callable from worker
   /// tasks and external threads alike; the caller's help is what keeps a
-  /// single-worker scheduler live-locked-free under nested batches.
+  /// single-worker scheduler live-locked-free under nested batches. Each
+  /// cell draws `cost` credits, as in Group::submit.
   void run_batch(Group& group, std::size_t n,
-                 const std::function<void(std::size_t)>& fn);
+                 const std::function<void(std::size_t)>& fn,
+                 std::uint32_t cost = kFullCost);
 
   /// Deadline queue (the former DeadlineWatchdog, folded in). `fire`
   /// runs once on a worker thread at or after `when`, in deadline order
@@ -153,7 +165,7 @@ class TaskScheduler {
   };
 
   void submit_locked(Group& group, TaskClass cls, std::function<void()> fn,
-                     std::shared_ptr<BatchState> batch);
+                     std::shared_ptr<BatchState> batch, std::uint32_t cost);
   [[nodiscard]] std::optional<Popped> pop_locked(bool cells_only);
   [[nodiscard]] bool cell_ready_locked() const;
   void execute(Popped popped);

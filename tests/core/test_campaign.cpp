@@ -184,6 +184,63 @@ TEST(CampaignRunner, CellsCarryTheirOwnSeedShift) {
   EXPECT_NE(out[0].runtime_ns, out[1].runtime_ns);
 }
 
+// The band partition is a pure function of (cells, sibling group,
+// workers, lane cap) — DESIGN.md §14.
+TEST(BandPartition, ShapesTheDefaultGridAcrossWorkers) {
+  // `mnemo run`'s grid: 2 placements x 2 repeats on 4 workers replays as
+  // one band per placement instead of one band on one worker.
+  EXPECT_EQ(partition_bands(4, 2, 4, LaneBand::kDefaultLanes),
+            (BandPartition{2, 2}));
+  EXPECT_EQ(partition_bands(4, 2, 2, LaneBand::kDefaultLanes),
+            (BandPartition{2, 2}));
+}
+
+TEST(BandPartition, KeepsTheCapWhenBandsOutnumberWorkers) {
+  // A 17-prefix x 2-repeat validation grid already has 9 bands for 4.
+  EXPECT_EQ(partition_bands(34, 2, 4, LaneBand::kDefaultLanes),
+            (BandPartition{4, 9}));
+  // Narrowing stops at the first width that gives every worker a band.
+  EXPECT_EQ(partition_bands(34, 2, 16, LaneBand::kDefaultLanes),
+            (BandPartition{2, 17}));
+  EXPECT_EQ(partition_bands(12, 1, 4, 8), (BandPartition{3, 4}));
+}
+
+TEST(BandPartition, NeverSplitsRepeatSiblings) {
+  // repeats = 3 (the MnemoConfig default): a width-4 band would split the
+  // second placement's siblings, whose skeleton then replays twice.
+  EXPECT_EQ(partition_bands(6, 3, 1, LaneBand::kDefaultLanes),
+            (BandPartition{3, 2}));
+  EXPECT_EQ(partition_bands(6, 3, 4, LaneBand::kDefaultLanes),
+            (BandPartition{3, 2}));
+  EXPECT_EQ(partition_bands(12, 3, 1, 8), (BandPartition{6, 2}));
+  // A group wider than the cap cannot stay whole: cells, not groups, then.
+  EXPECT_EQ(partition_bands(16, 8, 1, LaneBand::kDefaultLanes),
+            (BandPartition{4, 4}));
+  EXPECT_EQ(partition_bands(16, 8, 8, LaneBand::kDefaultLanes),
+            (BandPartition{2, 8}));
+}
+
+TEST(BandPartition, OneWorkerKeepsTheCap) {
+  for (const std::size_t cells : {1, 2, 3, 4, 5, 8, 34, 100}) {
+    for (const std::size_t cap : {1, 2, 4, 8, 16}) {
+      const BandPartition p = partition_bands(cells, 2, 1, cap);
+      EXPECT_EQ(p.width, cap) << cells << " cells, cap " << cap;
+      EXPECT_EQ(p.bands, (cells + cap - 1) / cap) << cells << " cells";
+    }
+  }
+  EXPECT_EQ(partition_bands(0, 1, 4, 4).bands, 0u);
+}
+
+TEST(BandPartition, SiblingGroupIsTheLeadingRepeatRun) {
+  const hybridmem::Placement a(8, hybridmem::NodeId::kFast);
+  const hybridmem::Placement b(8, hybridmem::NodeId::kSlow);
+  EXPECT_EQ(sibling_group({}), 1u);
+  EXPECT_EQ(sibling_group({{a, 0}}), 1u);
+  EXPECT_EQ(sibling_group({{a, 0}, {a, 1}, {b, 0}, {b, 1}}), 2u);
+  EXPECT_EQ(sibling_group({{a, 0}, {a, 1}, {a, 2}, {b, 0}}), 3u);
+  EXPECT_EQ(sibling_group({{a, 0}, {b, 0}, {a, 1}, {b, 1}}), 1u);
+}
+
 TEST(CampaignStats, AccountsForEveryCell) {
   const workload::Trace trace = zipfian_trace();
   SensitivityConfig cfg;

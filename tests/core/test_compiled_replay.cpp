@@ -1,11 +1,9 @@
-// Equivalence oracle for the compile-once campaign path (DESIGN.md §12):
-// the shared CompiledTrace, hash/digest passthrough and arena-backed
-// lanes behind CampaignRunner's default configuration must produce
-// measurements bit-identical (field-for-field via RunMeasurement's
-// defaulted operator==) to the serial reference campaign of
-// reference_campaign.hpp — per-cell SensitivityEngine::try_run_once over
-// the raw Trace — for every store architecture, with and without faults,
-// at every thread count in {1, 2, 8}.
+// The compile-once replay inputs (DESIGN.md §12): CompiledTrace must hoist
+// exactly what the stores would compute per op, and a one-lane LaneBand
+// over it — on an external arena, or on a requestless trace — must match
+// the per-cell SensitivityEngine replay of the raw Trace. Whole-campaign
+// equivalence against the serial reference campaign, default width
+// included, lives in test_lane_fusion.cpp.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +11,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/campaign.hpp"
 #include "core/lane_band.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "util/arena.hpp"
@@ -21,15 +18,8 @@
 #include "workload/compiled_trace.hpp"
 #include "workload/workload_spec.hpp"
 
-#include "reference_campaign.hpp"
-
 namespace mnemo::core {
 namespace {
-
-constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-constexpr kvstore::StoreKind kStores[] = {kvstore::StoreKind::kVermilion,
-                                          kvstore::StoreKind::kCachet,
-                                          kvstore::StoreKind::kDynaStore};
 
 workload::Trace small_trace() {
   workload::WorkloadSpec spec;
@@ -42,19 +32,6 @@ workload::Trace small_trace() {
   spec.request_count = 2'000;
   spec.seed = 0xc0dec;
   return workload::Trace::generate(spec);
-}
-
-std::vector<hybridmem::Placement> sweep_placements(
-    const workload::Trace& trace) {
-  std::vector<std::uint64_t> order(trace.key_count());
-  for (std::uint64_t k = 0; k < trace.key_count(); ++k) order[k] = k;
-  std::vector<hybridmem::Placement> placements;
-  for (const double f : {0.0, 0.5, 1.0}) {
-    placements.push_back(hybridmem::Placement::from_order(
-        order, static_cast<std::size_t>(
-                   f * static_cast<double>(trace.key_count()))));
-  }
-  return placements;
 }
 
 TEST(CompiledTrace, HoistsExactlyWhatTheStoresWouldCompute) {
@@ -82,70 +59,6 @@ TEST(CompiledTrace, HoistsExactlyWhatTheStoresWouldCompute) {
   EXPECT_EQ(compiled.write_count(), compiled.request_count() - reads);
   EXPECT_EQ(compiled.read_bytes().size(), compiled.read_count());
   EXPECT_EQ(compiled.write_bytes().size(), compiled.write_count());
-}
-
-TEST(CompiledReplay, GridBitIdenticalToLegacyAcrossStoresAndThreads) {
-  const workload::Trace trace = small_trace();
-  const std::vector<hybridmem::Placement> placements =
-      sweep_placements(trace);
-
-  for (const kvstore::StoreKind store : kStores) {
-    SensitivityConfig cfg;
-    cfg.store = store;
-    cfg.repeats = 2;
-    const SensitivityEngine engine(cfg);
-
-    const std::vector<RunMeasurement> before =
-        reference::measure_grid(engine, trace, placements);
-    for (const std::size_t threads : kThreadCounts) {
-      // The default lane width; test_lane_fusion.cpp sweeps the others.
-      CampaignRunner fast(threads);
-      const std::vector<RunMeasurement> after =
-          fast.measure_grid(engine, trace, placements);
-      ASSERT_EQ(before.size(), after.size());
-      for (std::size_t i = 0; i < before.size(); ++i) {
-        EXPECT_EQ(before[i], after[i])
-            << kvstore::to_string(store) << " placement " << i << " threads "
-            << threads;
-      }
-    }
-  }
-}
-
-TEST(CompiledReplay, CheckedCampaignWithFaultsMatchesLegacy) {
-  const workload::Trace trace = small_trace();
-  faultinject::FaultPlan plan;
-  plan.poison_rate = 0.2;
-
-  for (const kvstore::StoreKind store : kStores) {
-    SensitivityConfig cfg;
-    cfg.store = store;
-    cfg.repeats = 2;
-    cfg.faults = plan;
-    const SensitivityEngine engine(cfg);
-
-    const hybridmem::Placement all_fast(trace.key_count(),
-                                        hybridmem::NodeId::kFast);
-    const hybridmem::Placement all_slow(trace.key_count(),
-                                        hybridmem::NodeId::kSlow);
-    const std::vector<CampaignCell> cells = {
-        {all_fast, 0}, {all_slow, 0}, {all_fast, 1}, {all_slow, 1}};
-
-    const CampaignResult before =
-        reference::run_checked(engine, trace, cells);
-    for (const std::size_t threads : kThreadCounts) {
-      CampaignRunner fast(threads);
-      const CampaignResult after = fast.run_checked(engine, trace, cells);
-      ASSERT_EQ(before.measurements.size(), after.measurements.size());
-      for (std::size_t i = 0; i < before.measurements.size(); ++i) {
-        EXPECT_EQ(before.measurements[i], after.measurements[i])
-            << kvstore::to_string(store) << " cell " << i << " threads "
-            << threads;
-      }
-      EXPECT_EQ(before.failures, after.failures)
-          << kvstore::to_string(store) << " threads " << threads;
-    }
-  }
 }
 
 TEST(CompiledReplay, DirectRunOnceWithExternalArenaMatchesHeap) {

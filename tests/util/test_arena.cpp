@@ -93,6 +93,32 @@ TEST(Arena, ResetReturnsSameAddressesForSameSequence) {
   }
 }
 
+TEST(Arena, TrimReleasesOnlyChunksTheLastUseNeverReached) {
+  Arena arena(64);
+  for (int i = 0; i < 8; ++i) (void)arena.allocate(60, 1);  // 4+ chunks
+  const std::size_t grown = arena.chunk_count();
+  ASSERT_GE(grown, 4u);
+
+  // A smaller use after a reset reaches only the first chunk or two.
+  arena.reset();
+  (void)arena.allocate(100, 1);
+  arena.trim();
+  EXPECT_EQ(arena.chunk_count(), 2u);  // 64 B, then the 128 B it needed
+  EXPECT_EQ(arena.bytes_reserved(), 64u + 128u);
+  EXPECT_EQ(arena.bytes_allocated(), 100u);
+
+  // Trimming again, or trimming a rewound arena, keeps chunk 0 at least.
+  arena.trim();
+  EXPECT_EQ(arena.chunk_count(), 2u);
+  arena.reset();
+  arena.trim();
+  EXPECT_EQ(arena.chunk_count(), 1u);
+
+  // The arena grows back on demand after a trim.
+  for (int i = 0; i < 8; ++i) (void)arena.allocate(60, 1);
+  EXPECT_GE(arena.chunk_count(), 4u);
+}
+
 TEST(Arena, StatsTrackAllocations) {
   Arena arena;
   EXPECT_EQ(arena.allocation_count(), 0U);

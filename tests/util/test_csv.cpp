@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
 
 namespace mnemo::util::csv {
 namespace {
@@ -58,6 +60,67 @@ TEST(CsvWriter, StreamRows) {
     EXPECT_EQ(w.rows_written(), 3u);
   }
   EXPECT_EQ(out.str(), "h1,h2\nx,42\n3.14\n");
+}
+
+// field(double, p) renders through std::to_chars; it must print exactly
+// what printf's "%.*g" does, byte for byte, or reports and the CSV
+// artifacts would change.
+TEST(CsvWriter, DoubleFieldMatchesPrintfGeneralAtEveryPrecision) {
+  const double corpus[] = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      0.1,
+      1.0 / 3.0,
+      -2.5,
+      123456.789,
+      1e-5,
+      9.9999999e-5,
+      1e15,
+      123456789012345678.0,
+      9007199254740992.0,  // 2^53
+      9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+      18446744073709551616.0,  // 2^64
+      1e300,
+      -1e300,
+      1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      2.2250738585072009e-308,  // largest subnormal
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+  };
+  for (int p = 1; p <= 17; ++p) {
+    for (const double v : corpus) {
+      char expected[128];
+      std::snprintf(expected, sizeof expected, "%.*g", p, v);
+      std::ostringstream out;
+      {
+        Writer w(out);
+        w.field(v, p);
+      }
+      EXPECT_EQ(out.str(), std::string(expected) + "\n")
+          << "precision " << p << " value " << expected;
+    }
+  }
+}
+
+TEST(CsvWriter, IntegerFieldsMatchToString) {
+  std::ostringstream out;
+  {
+    Writer w(out);
+    w.field(std::uint64_t{0})
+        .field(std::numeric_limits<std::uint64_t>::max())
+        .field(std::int64_t{-7})
+        .field(std::numeric_limits<std::int64_t>::min());
+  }
+  EXPECT_EQ(out.str(), "0,18446744073709551615,-7,-9223372036854775808\n");
 }
 
 TEST(CsvWriter, DestructorClosesOpenRow) {

@@ -160,6 +160,49 @@ TEST(TaskSchedulerDispatch, WeightedRoundRobinGrantsWeightPerRound) {
   EXPECT_EQ(log.str(), "AABAAB");
 }
 
+TEST(TaskSchedulerDispatch, LightTasksShareOneRoundsCredit) {
+  // The small group's work comes as four quarter-cost tasks (a campaign
+  // shaped into one-lane bands): together they draw one full dispatch's
+  // credit, so all four run in the first round instead of one per round.
+  OrderLog log;
+  {
+    TaskScheduler sched(1);
+    Gate gate(sched);
+    auto big = sched.make_group();
+    for (int i = 0; i < 3; ++i) {
+      big->submit(TaskClass::kCell, [&] { log.push('B'); });
+    }
+    auto small = deadline_group(sched, 100'000);
+    for (int i = 0; i < 4; ++i) {
+      small->submit(TaskClass::kCell, [&] { log.push('s'); },
+                    TaskScheduler::kFullCost / 4);
+    }
+    gate.release();
+  }
+  EXPECT_EQ(log.str(), "ssssBBB");
+}
+
+TEST(TaskSchedulerDispatch, TaskCostsClampToOneFullDispatch) {
+  // Cost 0 still draws a credit and an oversized cost draws no more than
+  // a full dispatch, so weight keeps meaning dispatches per round.
+  OrderLog log;
+  {
+    TaskScheduler sched(1);
+    Gate gate(sched);
+    auto a = sched.make_group();
+    auto b = sched.make_group();
+    for (int i = 0; i < 2; ++i) {
+      a->submit(TaskClass::kCell, [&] { log.push('A'); },
+                TaskScheduler::kFullCost * 8);
+    }
+    for (std::uint32_t i = 0; i < TaskScheduler::kFullCost + 1; ++i) {
+      b->submit(TaskClass::kCell, [&] { log.push('b'); }, 0);
+    }
+    gate.release();
+  }
+  EXPECT_EQ(log.str(), "AbbbbAb");
+}
+
 TEST(TaskSchedulerDispatch, SingleWorkerRunsAGroupsTasksInSubmissionOrder) {
   OrderLog log;
   {
