@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory_resource>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "core/replay_internal.hpp"
 #include "hybridmem/hybrid_memory.hpp"
+#include "stats/log_histogram.hpp"
 #include "kvstore/dual_server.hpp"
 #include "util/arena.hpp"
 #include "util/assert.hpp"
@@ -32,8 +34,6 @@ struct LaneState {
   std::optional<std::pmr::vector<double>> skeleton;
   double* tap = nullptr;  ///< skeleton write cursor, shared by fast+slow
   std::optional<std::pmr::vector<double>> lat;  ///< flat per-op service ns
-  std::optional<std::pmr::vector<double>> read_lat;
-  std::optional<std::pmr::vector<double>> write_lat;
   RunMeasurement m;
   std::pmr::memory_resource* cell_memory = nullptr;
   std::size_t leader = kSelf;  ///< skeleton source; kSelf = replays fully
@@ -65,6 +65,75 @@ struct LaneState {
   const kvstore::StoreStats& f = servers.fast().stats();
   const kvstore::StoreStats& s = servers.slow().stats();
   return f.evictions + s.evictions + f.expirations + s.expirations;
+}
+
+/// `value` where `mask` is all ones, +0.0 where it is zero.
+[[nodiscard]] double masked(double value, std::uint64_t mask) noexcept {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(value) & mask);
+}
+
+/// A lane's statistics tail: the same RunMeasurement the reference
+/// replay's derive_measurement yields from its per-class vectors, from one
+/// pass over the flat service times in request order plus a selection
+/// among the few values the pass's bin counts locate.
+///
+/// The pass keeps both classes' sums and picks each op's contribution
+/// with a bit mask, not a branch: the other class's chains add +0.0, which
+/// leaves any sum but -0.0 unchanged, and a chain that starts at +0.0
+/// never holds -0.0 under round-to-nearest (an exact zero sum is +0.0).
+/// So every chain is the one the reference adds, term for term, and the
+/// means and fits are the same doubles. The same pass counts the values
+/// per stats::LogHistogram bin; the histogram is summed from those counts,
+/// which also locate the exact p95/p99 (LogHistogram::exact_quantiles).
+[[nodiscard]] util::Status derive_lane_measurement(
+    RunMeasurement& m, const workload::CompiledTrace& compiled,
+    std::span<const double> lat, std::pmr::memory_resource* scratch) {
+  const workload::OpType* ops = compiled.ops().data();
+  const double* read_bytes = compiled.read_bytes().data();
+  const double* write_bytes = compiled.write_bytes().data();
+  const stats::LogHistogram::PrefixIndex& index =
+      stats::LogHistogram::prefix_index();
+  std::pmr::vector<std::uint32_t> bins(
+      stats::LogHistogram::PrefixIndex::kBins, scratch);
+  replay_detail::ClassSums read{compiled.read_count()};
+  replay_detail::ClassSums write{compiled.write_count()};
+  std::size_t next_read = 0;
+  std::size_t next_write = 0;
+  for (std::size_t i = 0; i < lat.size(); ++i) {
+    const std::uint64_t is_write = ops[i] != workload::OpType::kRead;
+    const std::uint64_t write_mask = 0 - is_write;
+    const double y = lat[i];
+    const double* bytes[2] = {read_bytes + next_read, write_bytes + next_write};
+    const double xy = *bytes[is_write] * y;
+    next_read += 1 - is_write;
+    next_write += is_write;
+    read.sum_y += masked(y, ~write_mask);
+    read.sum_xy += masked(xy, ~write_mask);
+    write.sum_y += masked(y, write_mask);
+    write.sum_xy += masked(xy, write_mask);
+    ++bins[index.bin(y)];
+  }
+  m.reads = read.n;
+  m.writes = write.n;
+  m.avg_read_ns =
+      read.n == 0 ? 0.0 : read.sum_y / static_cast<double>(read.n);
+  m.avg_write_ns =
+      write.n == 0 ? 0.0 : write.sum_y / static_cast<double>(write.n);
+  m.read_vs_bytes = replay_detail::fit_service_line(compiled.read_fit(), read);
+  m.write_vs_bytes =
+      replay_detail::fit_service_line(compiled.write_fit(), write);
+  if (util::Status rates = replay_detail::derive_rates(m); !rates.ok()) {
+    return rates;
+  }
+  const stats::LogHistogram::BinCounts bin_counts(bins.data(), bins.size());
+  m.latency_hist.add_bins(bin_counts);
+  constexpr std::array<double, 2> kTails = {0.95, 0.99};
+  std::array<double, 2> tails{};
+  stats::LogHistogram::exact_quantiles(lat, bin_counts, kTails, tails,
+                                       scratch);
+  m.p95_ns = tails[0];
+  m.p99_ns = tails[1];
+  return {};
 }
 
 }  // namespace
@@ -154,10 +223,6 @@ void LaneBand::replay(
             : std::pmr::get_default_resource();
     s.lat.emplace(s.cell_memory);
     s.lat->resize(compiled.request_count());
-    s.read_lat.emplace(s.cell_memory);
-    s.write_lat.emplace(s.cell_memory);
-    s.read_lat->reserve(compiled.read_count());
-    s.write_lat->reserve(compiled.write_count());
     s.m.requests = compiled.request_count();
     if (s.leader != kSelf) {
       s.active = true;  // resolved from its leader's skeleton below
@@ -175,9 +240,9 @@ void LaneBand::replay(
 
   // One lane's pass over ops [base, end): exactly the per-cell replay loop.
   // Service times land in a flat per-lane array (unconditional store, no
-  // branch, no growth check); the read/write split, the histogram and the
-  // percentile tail all happen once per lane after the pass, where they
-  // batch (util::simd) instead of burning a log10 and two branches per op.
+  // branch, no growth check); the per-class sums, the histogram and the
+  // percentile tail all come out of derive_lane_measurement once the lane
+  // is done, instead of a log10 and two branches per op here.
   // runtime is carried through a register: the same single sequential
   // addition chain try_run_once's `m.runtime_ns +=` performs, so the total
   // is bit-identical.
@@ -284,28 +349,13 @@ void LaneBand::replay(
     s.m.runtime_ns = runtime;
   }
 
-  // --- per-lane epilogue: identical statistics tail as per-cell ---------
+  // --- per-lane epilogue: the statistics tail --------------------------
   for (std::size_t l = 0; l < k; ++l) {
     LaneState& s = lane_state[l];
     if (!s.active) continue;
-    // Split the flat service-time array into the read/write vectors the
-    // stats tail consumes — same values, same op order as the per-cell
-    // per-op push_backs.
-    const std::span<const double> lat(s.lat->data(), cur.size);
-    for (std::size_t i = 0; i < cur.size; ++i) {
-      (cur.ops[i] == workload::OpType::kRead ? *s.read_lat : *s.write_lat)
-          .push_back(lat[i]);
-    }
-    // Histogram counts commute, so batching the adds after the pass is
-    // the same histogram as per-op add(); the batch path's bucket
-    // indices are exact (stats::LogHistogram::bucket_bounds) and SIMD
-    // (util::simd::partition_index_batch).
-    s.m.latency_hist.add_batch(lat);
-    std::pmr::vector<double> merged(s.read_lat->get_allocator());
-    const util::Status derived = replay_detail::derive_measurement(
-        s.m, compiled.read_bytes(), compiled.write_bytes(), *s.read_lat,
-        *s.write_lat, merged, replay_detail::PercentileMode::kSelect,
-        &compiled.read_fit(), &compiled.write_fit());
+    const util::Status derived = derive_lane_measurement(
+        s.m, compiled, std::span<const double>(s.lat->data(), cur.size),
+        s.cell_memory);
     if (!derived.ok()) {
       out[l] = derived.error();
       continue;

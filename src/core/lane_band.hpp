@@ -41,12 +41,12 @@ namespace mnemo::core {
 /// per-cell result bit-for-bit at a fraction of the cost. The sharing
 /// self-disables whenever it could diverge: any armed fault plan, any
 /// leader eviction/TTL-expiration, or a leader error sends followers
-/// back to ordinary full replay. The batch kernels (util::simd) are exact:
-/// per-lane service accumulation is elementwise (never a reassociated
-/// reduction) and the histogram batch indexes through an exact boundary
-/// table. tests/core/test_lane_fusion.cpp pins every lane against the
-/// reference replay across lane widths, thread counts, stores and fault
-/// plans.
+/// back to ordinary full replay. The per-lane statistics tail is exact
+/// too: its sums are the reference's addition chains, its histogram bins
+/// come from an exact prefix table, and its p95/p99 are selected, not
+/// estimated (DESIGN.md §14). tests/core/test_lane_fusion.cpp pins every
+/// lane against the reference replay across lane widths, thread counts,
+/// stores and fault plans.
 class LaneBand {
  public:
   /// Hard cap on lanes per band: bounds the per-band stack state and the

@@ -1,15 +1,17 @@
 #include "core/migration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/pattern_engine.hpp"
 #include "core/tiering.hpp"
 #include "hybridmem/hybrid_memory.hpp"
 #include "kvstore/dual_server.hpp"
-#include "stats/summary.hpp"
+#include "stats/log_histogram.hpp"
 #include "util/assert.hpp"
 
 namespace mnemo::core {
@@ -60,7 +62,7 @@ double ring_delta(double from, double to, double n) {
   return d;
 }
 
-RunMeasurement summarize(std::vector<double>& latencies,
+RunMeasurement summarize(std::span<const double> latencies,
                          std::uint64_t reads, std::uint64_t writes,
                          double runtime_ns) {
   RunMeasurement m;
@@ -70,9 +72,18 @@ RunMeasurement summarize(std::vector<double>& latencies,
   m.runtime_ns = runtime_ns;
   m.avg_latency_ns = runtime_ns / static_cast<double>(m.requests);
   m.throughput_ops = static_cast<double>(m.requests) / (runtime_ns / 1e9);
-  std::sort(latencies.begin(), latencies.end());
-  m.p95_ns = stats::percentile_sorted(latencies, 0.95);
-  m.p99_ns = stats::percentile_sorted(latencies, 0.99);
+  // Exact tails without a sort, located by bin counts.
+  const stats::LogHistogram::PrefixIndex& index =
+      stats::LogHistogram::prefix_index();
+  std::vector<std::uint32_t> bins(stats::LogHistogram::PrefixIndex::kBins);
+  for (const double x : latencies) ++bins[index.bin(x)];
+  constexpr std::array<double, 2> kTails = {0.95, 0.99};
+  std::array<double, 2> tails{};
+  stats::LogHistogram::exact_quantiles(
+      latencies, stats::LogHistogram::BinCounts(bins.data(), bins.size()),
+      kTails, tails);
+  m.p95_ns = tails[0];
+  m.p99_ns = tails[1];
   return m;
 }
 

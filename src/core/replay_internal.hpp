@@ -2,20 +2,22 @@
 
 // Shared internals of the two replays — the per-cell reference replay of
 // the raw Trace in sensitivity_engine.cpp and the lane-fused campaign
-// executor in lane_band.cpp. Every run funnels its latency streams
-// through derive_measurement here, which is what makes "the campaign
-// executor is bit-identical to the reference replay" a structural property
-// instead of a hope: the statistics code literally cannot diverge between
-// them. Not installed API — core internals only.
+// executor in lane_band.cpp. Both derive a run's statistics through the
+// guards here (the degenerate-fit rule, the zero-runtime refusal), but
+// from independent arithmetic: the reference sorts and merges its
+// per-class latency vectors and counts the histogram with per-op add();
+// LaneBand makes one pass over its flat service-time array that yields
+// the same sums and bucket counts, then selects p95/p99 guided by the
+// histogram. The equivalence suites and golden fixtures hold the two to
+// the same bits. Not installed API — core internals only.
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/baselines.hpp"
 #include "stats/summary.hpp"
-#include "util/assert.hpp"
-#include "util/simd.hpp"
 #include "util/status.hpp"
 #include "workload/compiled_trace.hpp"
 
@@ -41,84 +43,31 @@ inline stats::Line fit_service_line(std::span<const double> bytes,
   return stats::fit_line(bytes, latency);
 }
 
-/// fit_service_line with the campaign-invariant x-side work (distinct
-/// scan + normal-equation moments) precomputed by CompiledTrace. Same
-/// guards, same solver inputs, bit-identical Line — the byte stream is
-/// only re-read for the y-side products.
-inline stats::Line fit_service_line(
-    const workload::ServiceFitMoments& moments,
-    std::span<const double> bytes, std::span<const double> latency) {
-  if (latency.empty()) return stats::Line{};
-  if (!moments.distinct || latency.size() < 2) {
-    return stats::Line{stats::mean(latency), 0.0};
-  }
-  return stats::fit_line_moments(moments.n, moments.sum_x, moments.sum_xx,
-                                 bytes, latency);
-}
-
-/// How the tail percentiles are extracted from the latency multiset.
-/// Both strategies interpolate between the same two sorted-rank values,
-/// so they produce bit-identical p95/p99 — the reference-replay
-/// equivalence suites hold them against each other.
-enum class PercentileMode : std::uint8_t {
-  kSortMerge,  ///< reference replay: sort both streams, merge, index
-  kSelect,     ///< LaneBand: rank selection, no sort (O(n))
+/// One request class's service-time sums, accumulated in request order:
+/// sum_y is the chain stats::mean and stats::fit_line both add up, and
+/// sum_xy pairs each latency with its record size.
+struct ClassSums {
+  std::size_t n = 0;
+  double sum_y = 0.0;
+  double sum_xy = 0.0;
 };
 
-/// percentile_sorted without the sort: nth_element places exactly the
-/// value that would sit at sorted rank `lo`, and the interpolation
-/// partner at rank lo+1 is the minimum of the right partition (found by
-/// util::simd::min_double — exact, order-independent). The interpolation
-/// arithmetic is identical to stats::percentile_sorted, so the result is
-/// the same double to the last bit. Mutates `scratch` (partial
-/// ordering); O(n) per call.
-template <typename Vec>
-[[nodiscard]] double percentile_select(Vec& scratch, double q) {
-  MNEMO_EXPECTS(!scratch.empty());
-  if (scratch.size() == 1) return scratch[0];
-  const double pos = q * static_cast<double>(scratch.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(scratch.begin(), nth, scratch.end());
-  if (lo + 1 >= scratch.size()) return scratch[scratch.size() - 1];
-  const double next =
-      util::simd::min_double(scratch.data() + lo + 1, scratch.size() - lo - 1);
-  return *nth * (1.0 - frac) + next * frac;
+/// fit_service_line from sums: the campaign-invariant x-side (distinct
+/// scan + normal-equation moments) precomputed by CompiledTrace, the
+/// y-side from the run. Same guards, same solver inputs, bit-identical
+/// Line.
+inline stats::Line fit_service_line(
+    const workload::ServiceFitMoments& moments, const ClassSums& sums) {
+  if (sums.n == 0) return stats::Line{};
+  if (!moments.distinct || sums.n < 2) {
+    return stats::Line{sums.sum_y / static_cast<double>(sums.n), 0.0};
+  }
+  return stats::fit_line_moments(moments.n, moments.sum_x, moments.sum_xx,
+                                 sums.sum_y, sums.sum_xy);
 }
 
-/// Shared tail of every replay path: derive every per-run statistic from
-/// the latency streams. Means and fits read the vectors in request order
-/// *before* any reordering. kSortMerge then merges the two individually
-/// sorted streams — the same sorted multiset (hence byte-identical
-/// percentiles) as the concatenate-then-sort it replaced, without
-/// re-comparing elements each stream already ordered. kSelect skips
-/// sorting entirely and extracts the two tail ranks by selection; the
-/// percentile values are provably the same doubles, and the LaneBand ≡
-/// reference tests plus the golden fixtures pin it.
-///
-/// `Vec` is std::vector<double> (heap replay) or std::pmr::vector<double>
-/// (arena-backed LaneBand replay); `merged` scratch must use the same
-/// allocator strategy as the inputs. LaneBand hands in the CompiledTrace's
-/// precomputed fit moments; the reference replay passes nullptr and
-/// recomputes the x-side per cell.
-template <typename Vec>
-[[nodiscard]] util::Status derive_measurement(
-    RunMeasurement& m, std::span<const double> read_bytes,
-    std::span<const double> write_bytes, Vec& read_lat, Vec& write_lat,
-    Vec& merged, PercentileMode percentiles,
-    const workload::ServiceFitMoments* read_fit = nullptr,
-    const workload::ServiceFitMoments* write_fit = nullptr) {
-  m.reads = read_lat.size();
-  m.writes = write_lat.size();
-  m.avg_read_ns = read_lat.empty() ? 0.0 : stats::mean(read_lat);
-  m.avg_write_ns = write_lat.empty() ? 0.0 : stats::mean(write_lat);
-  m.read_vs_bytes = read_fit
-                        ? fit_service_line(*read_fit, read_bytes, read_lat)
-                        : fit_service_line(read_bytes, read_lat);
-  m.write_vs_bytes =
-      write_fit ? fit_service_line(*write_fit, write_bytes, write_lat)
-                : fit_service_line(write_bytes, write_lat);
+/// The rates every replay derives from runtime_ns and requests.
+[[nodiscard]] inline util::Status derive_rates(RunMeasurement& m) {
   if (!(m.runtime_ns > 0.0)) {
     // Every request cost 0ns (a degenerate profile): division would turn
     // avg_latency_ns/throughput_ops into NaN/inf and quietly poison every
@@ -131,22 +80,32 @@ template <typename Vec>
   }
   m.avg_latency_ns = m.runtime_ns / static_cast<double>(m.requests);
   m.throughput_ops = static_cast<double>(m.requests) / (m.runtime_ns / 1e9);
-  if (percentiles == PercentileMode::kSortMerge) {
-    std::sort(read_lat.begin(), read_lat.end());
-    std::sort(write_lat.begin(), write_lat.end());
-    merged.resize(read_lat.size() + write_lat.size());
-    std::merge(read_lat.begin(), read_lat.end(), write_lat.begin(),
-               write_lat.end(), merged.begin());
-    m.p95_ns = stats::percentile_sorted(merged, 0.95);
-    m.p99_ns = stats::percentile_sorted(merged, 0.99);
-  } else {
-    merged.resize(read_lat.size() + write_lat.size());
-    const auto split = std::copy(read_lat.begin(), read_lat.end(),
-                                 merged.begin());
-    std::copy(write_lat.begin(), write_lat.end(), split);
-    m.p95_ns = percentile_select(merged, 0.95);
-    m.p99_ns = percentile_select(merged, 0.99);
-  }
+  return {};
+}
+
+/// The reference replay's statistics tail: means and fits straight from
+/// the per-class latency vectors in request order, then p95/p99 from the
+/// two individually sorted streams merged — the same sorted multiset as
+/// sorting their concatenation, without re-comparing elements each stream
+/// already ordered.
+[[nodiscard]] inline util::Status derive_measurement(
+    RunMeasurement& m, std::span<const double> read_bytes,
+    std::span<const double> write_bytes, std::vector<double>& read_lat,
+    std::vector<double>& write_lat) {
+  m.reads = read_lat.size();
+  m.writes = write_lat.size();
+  m.avg_read_ns = read_lat.empty() ? 0.0 : stats::mean(read_lat);
+  m.avg_write_ns = write_lat.empty() ? 0.0 : stats::mean(write_lat);
+  m.read_vs_bytes = fit_service_line(read_bytes, read_lat);
+  m.write_vs_bytes = fit_service_line(write_bytes, write_lat);
+  if (util::Status rates = derive_rates(m); !rates.ok()) return rates;
+  std::sort(read_lat.begin(), read_lat.end());
+  std::sort(write_lat.begin(), write_lat.end());
+  std::vector<double> merged(read_lat.size() + write_lat.size());
+  std::merge(read_lat.begin(), read_lat.end(), write_lat.begin(),
+             write_lat.end(), merged.begin());
+  m.p95_ns = stats::percentile_sorted(merged, 0.95);
+  m.p99_ns = stats::percentile_sorted(merged, 0.99);
   return {};
 }
 

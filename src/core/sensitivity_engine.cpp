@@ -15,12 +15,10 @@ namespace mnemo::core {
 SensitivityConfig::SensitivityConfig()
     : platform(hybridmem::paper_testbed()) {}
 
-// The statistics tail (fit_service_line, percentile selection,
-// derive_measurement) lives in replay_internal.hpp, shared verbatim with
-// the lane-fused campaign executor so the two replays cannot drift apart.
+// The statistics tail (derive_measurement) and the guards it shares with
+// the lane-fused campaign executor live in replay_internal.hpp.
 using replay_detail::derive_measurement;
 using replay_detail::empty_trace_error;
-using replay_detail::PercentileMode;
 
 SensitivityEngine::SensitivityEngine(SensitivityConfig config)
     : config_(std::move(config)) {
@@ -105,10 +103,8 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
       write_bytes.push_back(bytes);
     }
   }
-  std::vector<double> merged;
   const util::Status derived =
-      derive_measurement(m, read_bytes, write_bytes, read_lat, write_lat,
-                         merged, PercentileMode::kSortMerge);
+      derive_measurement(m, read_bytes, write_bytes, read_lat, write_lat);
   if (!derived.ok()) return derived.error();
   m.llc_hit_rate = memory.llc().hit_rate();
   m.faults = memory.fault_stats();

@@ -36,16 +36,15 @@ struct Line {
 };
 Line fit_line(std::span<const double> x, std::span<const double> y);
 
-/// fit_line with the x-side normal-equation moments precomputed by the
-/// caller: n = Σ1, sum_x = Σx[i], sum_xx = Σx[i]², each accumulated in
-/// index order exactly as fit_line's own loop would. The y-side moments
-/// are accumulated here in the same order, and the identical 2×2 system
-/// goes through the same solver — the returned Line is bit-identical to
-/// fit_line(x, y). Used by the compiled replay path, where x (the byte
-/// stream) is campaign-invariant but y (latency) changes per cell; it
-/// also skips fit_line's per-row feature-vector materialization.
-Line fit_line_moments(double n, double sum_x, double sum_xx,
-                      std::span<const double> x, std::span<const double> y);
+/// fit_line from precomputed normal-equation moments: n = Σ1,
+/// sum_x = Σx[i], sum_xx = Σx[i]², sum_y = Σy[i], sum_xy = Σx[i]·y[i],
+/// each accumulated in index order exactly as fit_line's own loop does.
+/// The identical 2×2 system goes through the same solver, so the returned
+/// Line is bit-identical to fit_line(x, y). The replay statistics tail
+/// uses it: x (the byte stream) is campaign-invariant, and the y-side
+/// sums come out of the lane's one pass over its service times.
+Line fit_line_moments(double n, double sum_x, double sum_xx, double sum_y,
+                      double sum_xy);
 
 /// Coefficient of determination of predictions vs observations.
 double r_squared(std::span<const double> y, std::span<const double> yhat);

@@ -39,23 +39,6 @@ void accumulate_scalar(double* acc, const double* x, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
-std::uint32_t partition_index_scalar(const double* bounds256,
-                                     double x) noexcept {
-  std::uint32_t base = 0;
-  for (std::uint32_t step = 128; step != 0; step >>= 1) {
-    const std::uint32_t probe = base + step;
-    if (bounds256[probe] <= x) base = probe;
-  }
-  return base;
-}
-
-void partition_scalar(const double* bounds256, const double* x,
-                      std::uint32_t* out, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = partition_index_scalar(bounds256, x[i]);
-  }
-}
-
 #if defined(MNEMO_SIMD_X86)
 
 // ---- SSE2 (the x86-64 baseline — no target attribute needed) -----------
@@ -209,32 +192,6 @@ __attribute__((target("avx2"))) void accumulate_avx2(
   accumulate_scalar(acc + i, x + i, n - i);
 }
 
-__attribute__((target("avx2"))) void partition_avx2(
-    const double* bounds256, const double* x, std::uint32_t* out,
-    std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    __m256i base = _mm256_setzero_si256();
-    for (std::uint32_t step = 128; step != 0; step >>= 1) {
-      const __m256i probe =
-          _mm256_add_epi64(base, _mm256_set1_epi64x(step));
-      const __m256d b = _mm256_i64gather_pd(bounds256, probe, 8);
-      // The same `bounds[probe] <= x` predicate as the scalar search; an
-      // ordered compare, so NaN inputs keep base at 0 on every step.
-      const __m256d le = _mm256_cmp_pd(b, v, _CMP_LE_OQ);
-      base = _mm256_blendv_epi8(base, probe, _mm256_castpd_si256(le));
-    }
-    alignas(32) std::uint64_t idx[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idx), base);
-    out[i + 0] = static_cast<std::uint32_t>(idx[0]);
-    out[i + 1] = static_cast<std::uint32_t>(idx[1]);
-    out[i + 2] = static_cast<std::uint32_t>(idx[2]);
-    out[i + 3] = static_cast<std::uint32_t>(idx[3]);
-  }
-  partition_scalar(bounds256, x + i, out + i, n - i);
-}
-
 Isa detect_isa() noexcept {
   return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kSse2;
 }
@@ -308,19 +265,6 @@ void accumulate_lanes(double* acc, const double* x, std::size_t n) noexcept {
 #else
   accumulate_scalar(acc, x, n);
 #endif
-}
-
-void partition_index_batch(const double* bounds256, const double* x,
-                           std::uint32_t* out, std::size_t n) noexcept {
-#if defined(MNEMO_SIMD_X86)
-  if (active_isa() == Isa::kAvx2) {
-    partition_avx2(bounds256, x, out, n);
-    return;
-  }
-#endif
-  // The gather-based search needs AVX2; SSE2 and scalar share the plain
-  // loop — the predicate sequence is identical either way.
-  partition_scalar(bounds256, x, out, n);
 }
 
 }  // namespace mnemo::util::simd

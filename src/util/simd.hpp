@@ -5,8 +5,10 @@
 
 namespace mnemo::util::simd {
 
-/// Batch kernels for the lane-fused replay path (DESIGN.md §14). Every
-/// kernel is exact — integer ops, IEEE compares and elementwise adds only,
+/// Batch kernels for the compiled trace's hash tables and the replay
+/// statistics tail (DESIGN.md §14). Histogram bucketing is not here: the
+/// scalar prefix-table lookup stats::LogHistogram::PrefixIndex beats a
+/// vectorized search of the bucket bounds. Every kernel is exact — integer ops, IEEE compares and elementwise adds only,
 /// never a reassociated float reduction — so using them cannot move a
 /// result by even one ULP relative to the scalar loop they replace. The
 /// implementation is picked once per process: AVX2 when the CPU has it,
@@ -43,15 +45,5 @@ void mix64_iota_batch(std::uint64_t first, std::uint64_t* out,
 /// addition chain — this vectorizes *across* independent accumulators
 /// (the per-lane service-time totals), never within one, so it is exact.
 void accumulate_lanes(double* acc, const double* x, std::size_t n) noexcept;
-
-/// For each x[j]: the largest index i in [0, 256) with bounds256[i] <=
-/// x[j], via a branchless 8-step binary search (AVX2: gathered probes,
-/// four values per vector). `bounds256` must be ascending with
-/// bounds256[0] == -inf; entries past the live range are padded with
-/// +inf. Compares only — no arithmetic touches x — so the result is the
-/// exact partition index for every representable double. NaN inputs map
-/// to index 0.
-void partition_index_batch(const double* bounds256, const double* x,
-                           std::uint32_t* out, std::size_t n) noexcept;
 
 }  // namespace mnemo::util::simd

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -105,62 +104,6 @@ TEST(Simd, AccumulateLanesIsElementwiseExactAddition) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(acc[i], expected[i]) << "n=" << n << " i=" << i;
     }
-  }
-}
-
-TEST(Simd, PartitionIndexBatchMatchesUpperBound) {
-  // Same shape as stats::LogHistogram::bucket_bounds(): ascending, -inf
-  // sentinel at 0, +inf padding past the live entries.
-  std::vector<double> bounds(256, std::numeric_limits<double>::infinity());
-  bounds[0] = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i < 180; ++i) {
-    bounds[i] = 10.0 * std::pow(10.0, static_cast<double>(i - 1) / 20.0);
-  }
-
-  const auto reference = [&](double v) -> std::uint32_t {
-    if (std::isnan(v)) return 0;
-    const auto it = std::upper_bound(bounds.begin(), bounds.end(), v);
-    return static_cast<std::uint32_t>((it - bounds.begin()) - 1);
-  };
-
-  util::Rng rng(44);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                              std::size_t{8}, std::size_t{17},
-                              std::size_t{64}}) {
-    std::vector<double> x(n);
-    for (auto& v : x) {
-      // Log-uniform across and beyond the histogram range, exercising
-      // both saturation ends.
-      v = std::pow(10.0, rng.next_double() * 14.0 - 2.0);
-    }
-    if (n >= 4) {
-      x[0] = 0.0;                                       // below range
-      x[1] = std::numeric_limits<double>::infinity();   // above range
-      x[2] = bounds[1];                                 // exact boundary
-      x[3] = std::numeric_limits<double>::quiet_NaN();  // NaN -> 0
-    }
-    std::vector<std::uint32_t> out(n, 0xffffffffu);
-    partition_index_batch(bounds.data(), x.data(), out.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], reference(x[i])) << "n=" << n << " i=" << i;
-    }
-  }
-
-  // Every exact boundary value must land in its own partition, and the
-  // value one ulp below must land in the previous one.
-  std::vector<double> probes;
-  std::vector<std::uint32_t> expected;
-  for (std::size_t i = 1; i < 180; ++i) {
-    probes.push_back(bounds[i]);
-    expected.push_back(static_cast<std::uint32_t>(i));
-    probes.push_back(std::nextafter(bounds[i], 0.0));
-    expected.push_back(static_cast<std::uint32_t>(i - 1));
-  }
-  std::vector<std::uint32_t> got(probes.size());
-  partition_index_batch(bounds.data(), probes.data(), got.data(),
-                        probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    ASSERT_EQ(got[i], expected[i]) << "probe " << probes[i];
   }
 }
 
